@@ -212,8 +212,9 @@ fn run_coordinator_mode(a: &Args) -> ! {
     let mut ccfg = CoordConfig::new(dir.clone(), meta, spec_json);
     ccfg.resume = a.resume;
     ccfg.lease_timeout = Duration::from_millis(a.lease_timeout_ms);
-    // Undocumented test hook for ./ci's crash drill: abandon (as a SIGKILL
-    // would) after merging this many trials.
+    // Undocumented test hook for ./ci's crash drill, the crash point "Nth
+    // merged trial durable": once this many trials merged, commit the
+    // journal, then abandon (as a SIGKILL would).
     if std::env::var("PHI_COORD_STOP_AFTER").is_ok() {
         ccfg.stop_after_merged = Some(positive_env("PHI_COORD_STOP_AFTER", 1) as u64);
     }

@@ -30,10 +30,13 @@
 //!
 //! Transport is the warden's length-prefixed JSON framing ([`write_frame`]
 //! / [`read_frame`]) over `TcpStream`, with the same `MAX_FRAME` cap
-//! enforced on network reads. The protocol is strict request/response:
-//! every [`ExecutorMsg`] gets exactly one [`CoordMsg`] reply, which keeps
-//! both ends trivially restartable — any torn exchange is just a dropped
-//! connection, and reconnecting re-establishes all state from `Hello`.
+//! enforced on network reads and `TCP_NODELAY` on both ends. The protocol
+//! is strict request/response: every [`ExecutorMsg`] gets exactly one
+//! [`CoordMsg`] reply, which keeps both ends trivially restartable — any
+//! torn exchange is just a dropped connection, and reconnecting
+//! re-establishes all state from `Hello`. A `LeaseRequest` that cannot be
+//! granted yet is *parked* (long poll) until a seal, a lease expiry, a
+//! disconnect or the lease timeout gives it an answer.
 
 use crate::monitor::{self, DistStatus};
 use crate::warden::{read_frame, write_frame};
@@ -41,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use store::{
     CampaignMeta, Importer, Journal, JournalEntry, JournalWriter, LeaseState, LedgerEntry, LedgerWriter, Offer, ShardCursor,
@@ -55,7 +58,9 @@ pub enum ExecutorMsg {
     /// across reconnects: a `Hello` expires any lease still held under the
     /// same name, because the process that held it is gone.
     Hello { name: String, pid: u32 },
-    /// Ask for work. Answered with `Lease`, `Wait` or `Done`.
+    /// Ask for work. Answered with `Lease` or `Done` as soon as one
+    /// applies; the request stays parked until then, and is answered `Wait`
+    /// only if a whole lease timeout passes without either.
     LeaseRequest,
     /// One trial result. `seq` is shard-local; `payload` is the
     /// pre-serialized trial record, opaque to the coordinator.
@@ -77,7 +82,8 @@ pub enum CoordMsg {
     /// The executor streams shard-local sequences `skip..(end-start)`; the
     /// merge already holds everything before `skip`.
     Lease { lease: u64, shard: usize, start: u64, end: u64, skip: u64, timeout_ms: u64 },
-    /// No shard is currently available; ask again after `backoff_ms`.
+    /// A parked `LeaseRequest` timed out with no shard to grant; ask again
+    /// after `backoff_ms` (the coordinator sends 0: at once).
     Wait { backoff_ms: u64 },
     /// Frame accepted.
     Ack,
@@ -92,8 +98,64 @@ fn protocol(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-fn lock_state(state: &Mutex<CoordState>) -> MutexGuard<'_, CoordState> {
-    state.lock().unwrap_or_else(|e| e.into_inner())
+/// Turns Nagle's algorithm off. Every dist frame is a small request or
+/// reply the peer is blocked on, so holding one back to coalesce it only
+/// waits out the peer's delayed ACK (about 40 ms per round trip).
+fn set_low_latency(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nodelay(true)
+}
+
+/// The coordinator's state, shared by the accept loop and every
+/// connection thread, plus the condvar parked lease requests wait on.
+struct Coord {
+    state: Mutex<CoordState>,
+    /// Notified whenever a parked `LeaseRequest` may get a new answer: a
+    /// shard sealed, a lease expired, an executor disconnected, or the
+    /// coordinator was abandoned.
+    changed: Condvar,
+}
+
+impl Coord {
+    fn lock(&self) -> MutexGuard<'_, CoordState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wakes parked lease requests if the state changed in a way that
+    /// matters to them since the last call.
+    fn wake_if_changed(&self, st: &mut CoordState) {
+        if std::mem::take(&mut st.wake) {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Answers a `LeaseRequest`. While every unsealed shard is leased the
+    /// request is parked on `changed` (the lock released) and re-run on
+    /// every wake, and at the moment the least recently seen lease goes
+    /// stale, so lazy expiry keeps its timing. A park that lasts a whole
+    /// lease timeout is answered `Wait`, which also proves the executor is
+    /// still there. `None` means the coordinator was abandoned: drop the
+    /// connection cold.
+    fn park_for_lease<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, CoordState>,
+        name: &str,
+    ) -> std::io::Result<(MutexGuard<'a, CoordState>, Option<CoordMsg>)> {
+        let parked_until = Instant::now() + st.lease_timeout;
+        loop {
+            if st.abandoned {
+                return Ok((st, None));
+            }
+            let reply = st.grant(name)?;
+            self.wake_if_changed(&mut st);
+            let now = Instant::now();
+            if !matches!(reply, CoordMsg::Wait { .. }) || now >= parked_until {
+                return Ok((st, Some(reply)));
+            }
+            let until = st.next_expiry().map_or(parked_until, |t| t.min(parked_until));
+            let timeout = until.saturating_duration_since(now).max(Duration::from_millis(1));
+            st = self.changed.wait_timeout(st, timeout).unwrap_or_else(|e| e.into_inner()).0;
+        }
+    }
 }
 
 /// Coordinator configuration.
@@ -108,18 +170,17 @@ pub struct CoordConfig {
     /// Continue an existing journal instead of demanding a fresh directory.
     pub resume: bool,
     /// A lease with no traffic for this long is expired and its shard
-    /// re-dispatched.
+    /// re-dispatched. Also the longest a `LeaseRequest` stays parked.
     pub lease_timeout: Duration,
-    /// Backoff told to executors when every unsealed shard is leased.
-    pub wait_ms: u64,
-    /// Test hook: abandon the coordinator (no seal, no close, writers
-    /// leaked exactly as a SIGKILL would leave them) once this many trials
-    /// merged. `None` in production.
+    /// Crash point "Nth merged trial durable": once the Nth fresh trial
+    /// merges, commit the journal, then abandon the coordinator (no seal,
+    /// no close, writers leaked exactly as a SIGKILL would leave them).
+    /// `None` in production.
     pub stop_after_merged: Option<u64>,
-    /// After the last shard seals, keep answering so executors parked in a
-    /// `Wait` backoff hear [`CoordMsg::Done`] instead of a connection
-    /// reset. [`run_coordinator`] returns as soon as every connected
-    /// executor has disconnected, or after this bound — whichever is first.
+    /// After the last shard seals, keep answering so executors that
+    /// connect late hear [`CoordMsg::Done`] instead of a connection reset.
+    /// [`run_coordinator`] returns as soon as every connected executor has
+    /// disconnected, or after this bound — whichever is first.
     pub linger: Duration,
 }
 
@@ -131,7 +192,6 @@ impl CoordConfig {
             spec: spec.into(),
             resume: false,
             lease_timeout: Duration::from_millis(2000),
-            wait_ms: 50,
             stop_after_merged: None,
             linger: Duration::from_secs(10),
         }
@@ -141,7 +201,7 @@ impl CoordConfig {
 /// What a finished (or deliberately abandoned) coordinator did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoordSummary {
-    /// Fresh trials merged into the journal this incarnation.
+    /// Fresh trials this incarnation merged and the journal committed.
     pub merged: u64,
     /// Duplicate trials dropped by the dedupe-by-index merge.
     pub duplicates: u64,
@@ -172,7 +232,6 @@ struct CoordState {
     sealed: Vec<bool>,
     ever_leased: Vec<bool>,
     lease_timeout: Duration,
-    wait_ms: u64,
     stop_after_merged: Option<u64>,
     executors: u64,
     granted: u64,
@@ -180,6 +239,9 @@ struct CoordState {
     redispatched: u64,
     done: bool,
     abandoned: bool,
+    /// Set when parked lease requests should re-run `grant`
+    /// ([`Coord::wake_if_changed`]).
+    wake: bool,
 }
 
 impl CoordState {
@@ -209,6 +271,7 @@ impl CoordState {
         }
         self.ledger_mut()?.append(&LedgerEntry::Expired { lease })?;
         self.expired += 1;
+        self.wake = true;
         obs::incr("dist/leases_expired", 1);
         Ok(())
     }
@@ -224,6 +287,11 @@ impl CoordState {
             self.expire(id)?;
         }
         Ok(())
+    }
+
+    /// When the least recently seen lease goes stale.
+    fn next_expiry(&self) -> Option<Instant> {
+        self.leases.values().map(|info| info.last_seen + self.lease_timeout).min()
     }
 
     /// A reconnecting executor's previous leases belong to a dead process.
@@ -249,7 +317,9 @@ impl CoordState {
         }))?;
         writer.append(&JournalEntry::ShardDone { shard })?;
         writer.sync()?;
+        self.importer.settle(writer);
         self.sealed[shard] = true;
+        self.wake = true;
         obs::incr("shard/completed", 1);
         monitor::shard_sealed(shard);
         Ok(())
@@ -272,6 +342,7 @@ impl CoordState {
     /// destructor flushes or seals anything a real kill would have lost.
     fn abandon(&mut self) {
         self.abandoned = true;
+        self.wake = true;
         if let Some(writer) = self.writer.take() {
             std::mem::forget(writer);
         }
@@ -287,7 +358,7 @@ impl CoordState {
         }
         let leased: Vec<usize> = self.leases.values().map(|info| info.shard).collect();
         let Some(shard) = (0..self.plan.shards).find(|s| !self.sealed[*s] && !leased.contains(s)) else {
-            return Ok(CoordMsg::Wait { backoff_ms: self.wait_ms });
+            return Ok(CoordMsg::Wait { backoff_ms: 0 });
         };
         let lease = self.next_lease;
         self.next_lease += 1;
@@ -316,6 +387,7 @@ impl CoordState {
     fn handle(&mut self, name: &str, msg: ExecutorMsg) -> std::io::Result<CoordMsg> {
         match msg {
             ExecutorMsg::Hello { .. } => Err(protocol("unexpected second Hello on an established connection")),
+            // Parked by the caller, `Coord::park_for_lease`.
             ExecutorMsg::LeaseRequest => self.grant(name),
             ExecutorMsg::Heartbeat { lease } => match self.leases.get_mut(&lease) {
                 Some(info) if info.executor == name => {
@@ -338,7 +410,9 @@ impl CoordState {
                     monitor::tick(shard);
                 }
                 if let Some(cap) = self.stop_after_merged {
-                    if self.importer.accepted >= cap {
+                    if self.importer.accepted + self.importer.pending() >= cap {
+                        writer.sync()?;
+                        self.importer.settle(writer);
                         self.abandon();
                     }
                 }
@@ -405,11 +479,9 @@ fn open_coord_journal(dir: &Path, meta: &CampaignMeta, resume: bool) -> std::io:
     }
 }
 
-/// Runs the coordinator until every shard is sealed (or the
-/// `stop_after_merged` crash hook fires). Takes a bound listener so callers
-/// control address selection — the `phi-coord` binary binds `--listen` and
-/// writes the resolved address to `--addr-file` before calling this.
-pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Result<CoordSummary> {
+/// Opens the journal and ledger, reconciles a crashed incarnation's
+/// leases, and seals any shard whose whole range is already merged.
+fn open_state(cfg: &CoordConfig) -> std::io::Result<CoordState> {
     let (writer, progress) = open_coord_journal(&cfg.dir, &cfg.meta, cfg.resume)?;
     let (mut ledger, scan) = LedgerWriter::open(&cfg.dir)?;
 
@@ -460,7 +532,6 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         sealed,
         ever_leased,
         lease_timeout: cfg.lease_timeout,
-        wait_ms: cfg.wait_ms,
         stop_after_merged: cfg.stop_after_merged,
         executors: 0,
         granted: 0,
@@ -468,6 +539,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         redispatched: 0,
         done: false,
         abandoned: false,
+        wake: false,
     };
 
     // Close the seal crash-window: a shard whose whole range is merged but
@@ -479,12 +551,21 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
     }
     if state.sealed.iter().all(|&s| s) {
         state.finish()?;
-        state.publish();
-        return Ok(summary_of(&state));
     }
     state.publish();
+    Ok(state)
+}
 
-    let shared = Arc::new(Mutex::new(state));
+/// Runs the coordinator until every shard is sealed (or the
+/// `stop_after_merged` crash hook fires). Takes a bound listener so callers
+/// control address selection — the `phi-coord` binary binds `--listen` and
+/// writes the resolved address to `--addr-file` before calling this.
+pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Result<CoordSummary> {
+    let state = open_state(cfg)?;
+    if state.done {
+        return Ok(summary_of(&state));
+    }
+    let shared = Arc::new(Coord { state: Mutex::new(state), changed: Condvar::new() });
     listener.set_nonblocking(true)?;
     let mut done_since: Option<Instant> = None;
     loop {
@@ -499,7 +580,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
             Err(e) => return Err(e),
         }
         {
-            let st = lock_state(&shared);
+            let st = shared.lock();
             if st.abandoned {
                 break;
             }
@@ -515,7 +596,7 @@ pub fn run_coordinator(listener: TcpListener, cfg: &CoordConfig) -> std::io::Res
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    let state = lock_state(&shared);
+    let state = shared.lock();
     Ok(summary_of(&state))
 }
 
@@ -530,25 +611,28 @@ fn summary_of(state: &CoordState) -> CoordSummary {
     }
 }
 
-/// Decrements the connected-executor gauge however the connection ends.
-struct ConnGuard<'a>(&'a Mutex<CoordState>);
+/// Decrements the connected-executor gauge however the connection ends,
+/// and wakes parked lease requests so they re-run `grant`.
+struct ConnGuard<'a>(&'a Coord);
 
 impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
-        let mut st = lock_state(self.0);
+        let mut st = self.0.lock();
         st.executors = st.executors.saturating_sub(1);
         st.publish();
+        self.0.changed.notify_all();
     }
 }
 
-fn serve_connection(shared: &Mutex<CoordState>, mut stream: TcpStream) -> std::io::Result<()> {
+fn serve_connection(shared: &Coord, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
+    set_low_latency(&stream)?;
     let hello: ExecutorMsg = read_frame(&mut stream)?;
     let ExecutorMsg::Hello { name, .. } = hello else {
         return Err(protocol("first frame must be Hello"));
     };
     {
-        let mut st = lock_state(shared);
+        let mut st = shared.lock();
         // An abandoned coordinator is "dead" — drop the connection cold,
         // like the SIGKILL it simulates. A merely *done* coordinator keeps
         // answering so late joiners hear `Done` instead of a reset.
@@ -560,8 +644,9 @@ fn serve_connection(shared: &Mutex<CoordState>, mut stream: TcpStream) -> std::i
     }
     let _guard = ConnGuard(shared);
     {
-        let mut st = lock_state(shared);
+        let mut st = shared.lock();
         st.expire_leases_of(&name)?;
+        shared.wake_if_changed(&mut st);
         let welcome = CoordMsg::Welcome { meta: st.meta.clone(), spec: st.spec.clone() };
         write_frame(&mut stream, &welcome)?;
         st.publish();
@@ -573,11 +658,22 @@ fn serve_connection(shared: &Mutex<CoordState>, mut stream: TcpStream) -> std::i
             Ok(msg) => msg,
             Err(_) => return Ok(()), // disconnect; its leases expire on their own
         };
-        let mut st = lock_state(shared);
+        let mut st = shared.lock();
         if st.abandoned {
             return Ok(());
         }
-        let reply = st.handle(&name, msg)?;
+        let reply = if matches!(msg, ExecutorMsg::LeaseRequest) {
+            let (guard, reply) = shared.park_for_lease(st, &name)?;
+            st = guard;
+            match reply {
+                Some(reply) => reply,
+                None => return Ok(()),
+            }
+        } else {
+            let reply = st.handle(&name, msg)?;
+            shared.wake_if_changed(&mut st);
+            reply
+        };
         write_frame(&mut stream, &reply)?;
         st.publish();
     }
@@ -734,14 +830,18 @@ where
     };
 
     'reconnect: loop {
-        let mut stream = match cfg.target.resolve().and_then(|addr| TcpStream::connect(&addr)) {
+        let connected = cfg.target.resolve().and_then(|addr| {
+            let stream = TcpStream::connect(&addr)?;
+            set_low_latency(&stream)?;
+            Ok(stream)
+        });
+        let mut stream = match connected {
             Ok(s) => s,
             Err(e) => {
                 fail(&mut failures, "connect", e)?;
                 continue 'reconnect;
             }
         };
-        stream.set_nodelay(true).ok();
         let welcome = match roundtrip(&mut stream, &ExecutorMsg::Hello { name: cfg.name.clone(), pid }) {
             Ok(reply) => reply,
             Err(e) => {
@@ -776,7 +876,7 @@ where
             match reply {
                 CoordMsg::Done => return Ok(summary),
                 CoordMsg::Wait { backoff_ms } => {
-                    std::thread::sleep(Duration::from_millis(backoff_ms.clamp(1, 1000)));
+                    std::thread::sleep(Duration::from_millis(backoff_ms.min(1000)));
                 }
                 CoordMsg::Lease { lease, shard, start, end, skip, .. } => {
                     summary.leases += 1;
@@ -879,6 +979,7 @@ fn run_lease<R: FnMut(u64) -> String>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/test-dist").join(name);
@@ -989,5 +1090,156 @@ mod tests {
     fn roundtrip_raw(stream: &mut TcpStream, msg: &ExecutorMsg) -> CoordMsg {
         write_frame(stream, msg).unwrap();
         read_frame(stream).unwrap()
+    }
+
+    fn hello(addr: &str, name: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let CoordMsg::Welcome { .. } = roundtrip_raw(&mut stream, &ExecutorMsg::Hello { name: name.into(), pid: 1 }) else {
+            panic!("expected Welcome")
+        };
+        stream
+    }
+
+    type Parked = mpsc::Receiver<(TcpStream, std::io::Result<CoordMsg>)>;
+
+    /// Sends a `LeaseRequest` from another thread, so the test can watch
+    /// it stay parked. The stream comes back with the reply.
+    fn request_lease_async(mut stream: TcpStream) -> Parked {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let reply = write_frame(&mut stream, &ExecutorMsg::LeaseRequest).and_then(|()| read_frame(&mut stream));
+            let _ = tx.send((stream, reply));
+        });
+        rx
+    }
+
+    fn assert_parked(parked: &Parked) {
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(matches!(parked.try_recv(), Err(mpsc::TryRecvError::Empty)), "the lease request must be parked");
+    }
+
+    fn answer(parked: &Parked) -> (TcpStream, std::io::Result<CoordMsg>) {
+        parked.recv_timeout(Duration::from_secs(10)).expect("a parked lease request must be answered, not hang")
+    }
+
+    fn stream_trials(stream: &mut TcpStream, lease: u64, seqs: std::ops::Range<u64>) {
+        for seq in seqs {
+            let reply = roundtrip_raw(stream, &ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) });
+            assert_eq!(reply, CoordMsg::Ack);
+        }
+    }
+
+    #[test]
+    fn parked_lease_request_hears_done_when_the_last_shard_seals() {
+        let root = tmp("park-done");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
+        // Far beyond the test: a timed-out park cannot be what answers.
+        cfg.lease_timeout = Duration::from_secs(60);
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        let mut a = hello(&addr, "a");
+        let CoordMsg::Lease { lease, shard: 0, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on the only shard")
+        };
+        let parked = request_lease_async(hello(&addr, "b"));
+        assert_parked(&parked);
+
+        stream_trials(&mut a, lease, 0..2);
+        assert_eq!(roundtrip_raw(&mut a, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+        let (b, reply) = answer(&parked);
+        assert_eq!(reply.unwrap(), CoordMsg::Done);
+        drop((a, b));
+
+        let summary = coord.join().unwrap();
+        assert_eq!(summary.merged, 2);
+        assert_eq!(summary.leases_granted, 1);
+    }
+
+    #[test]
+    fn parked_lease_request_receives_a_rotted_lease() {
+        let root = tmp("park-rot");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(2, 1), "");
+        cfg.lease_timeout = Duration::from_millis(300);
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        let mut a = hello(&addr, "a");
+        let CoordMsg::Lease { lease: a_lease, shard: 0, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on the only shard")
+        };
+        stream_trials(&mut a, a_lease, 0..1);
+        // A goes silent. B parks, starting after A's last frame, so A's
+        // lease goes stale inside B's park.
+        std::thread::sleep(Duration::from_millis(50));
+        let parked = request_lease_async(hello(&addr, "b"));
+        let (mut b, reply) = answer(&parked);
+        let CoordMsg::Lease { lease, shard: 0, skip: 1, .. } = reply.unwrap() else {
+            panic!("B must receive the rotted shard's lease, resuming after A's trial")
+        };
+        stream_trials(&mut b, lease, 1..2);
+        assert_eq!(roundtrip_raw(&mut b, &ExecutorMsg::RangeDone { lease }), CoordMsg::Ack);
+        assert_eq!(roundtrip_raw(&mut a, &ExecutorMsg::Heartbeat { lease: a_lease }), CoordMsg::Expired);
+        drop((a, b));
+
+        let summary = coord.join().unwrap();
+        assert_eq!((summary.merged, summary.leases_expired, summary.redispatched), (2, 1, 1));
+        assert_eq!(scan_payloads(&root.join("coord"), 1), vec![payload_for(0), payload_for(1)]);
+    }
+
+    #[test]
+    fn abandon_releases_parked_lease_requests() {
+        let root = tmp("park-abandon");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut cfg = CoordConfig::new(root.join("coord"), meta(4, 1), "");
+        cfg.lease_timeout = Duration::from_secs(60);
+        cfg.stop_after_merged = Some(2);
+        let coord = std::thread::spawn(move || run_coordinator(listener, &cfg).unwrap());
+
+        let mut a = hello(&addr, "a");
+        let CoordMsg::Lease { lease, .. } = roundtrip_raw(&mut a, &ExecutorMsg::LeaseRequest) else {
+            panic!("expected a lease on the only shard")
+        };
+        let parked = request_lease_async(hello(&addr, "b"));
+        assert_parked(&parked);
+
+        // The second merged trial is the crash point: commit, then abandon.
+        stream_trials(&mut a, lease, 0..2);
+        let (_b, reply) = answer(&parked);
+        assert!(reply.is_err(), "an abandoned coordinator drops parked connections cold, got {reply:?}");
+
+        let summary = coord.join().unwrap();
+        assert!(summary.abandoned);
+        assert_eq!(summary.merged, 2);
+        let scan = Journal::scan(&root.join("coord")).unwrap();
+        let trials = scan.entries.iter().filter(|e| matches!(e, JournalEntry::Trial { .. })).count();
+        assert_eq!(trials, 2, "the crash point made both merged trials durable");
+    }
+
+    #[test]
+    fn merged_counts_only_what_the_journal_committed() {
+        let root = tmp("buffered");
+        let cfg = CoordConfig::new(root.join("coord"), meta(8, 1), "");
+        let mut st = open_state(&cfg).unwrap();
+        // Commit every few trials and never on age, so the abandon below
+        // leaves committed trials and a buffered batch behind.
+        st.writer.as_mut().unwrap().batch = store::BatchPolicy { max_bytes: 256, max_delay: Duration::from_secs(3600) };
+        let CoordMsg::Lease { lease, .. } = st.grant("a").unwrap() else { panic!("expected a lease") };
+        for seq in 0..7 {
+            let msg = ExecutorMsg::Trial { lease, shard: 0, seq, payload: payload_for(seq) };
+            assert_eq!(st.handle("a", msg).unwrap(), CoordMsg::Ack);
+        }
+        let buffered = st.importer.pending();
+        assert!(buffered > 0 && st.importer.accepted > 0, "{buffered} buffered, {} committed", st.importer.accepted);
+
+        st.abandon();
+        let summary = summary_of(&st);
+        let scan = Journal::scan(&root.join("coord")).unwrap();
+        let trials = scan.entries.iter().filter(|e| matches!(e, JournalEntry::Trial { .. })).count() as u64;
+        assert_eq!(summary.merged, trials, "merged must count what a rescan of the journal finds");
+        assert_eq!(trials + buffered, 7);
     }
 }

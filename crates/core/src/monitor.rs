@@ -395,7 +395,7 @@ pub struct DistStatus {
     pub leases_expired: u64,
     /// Trials dropped as duplicates by the dedupe-by-index merge.
     pub dup_trials: u64,
-    /// Trials accepted into the central journal.
+    /// Trials the central journal has committed (not merely buffered).
     pub merged_trials: u64,
 }
 

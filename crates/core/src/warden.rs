@@ -179,14 +179,19 @@ fn other(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::other(msg.into())
 }
 
-/// Writes one length-prefixed JSON frame (4-byte LE length, then bytes).
+/// Writes one length-prefixed JSON frame (4-byte LE length, then bytes)
+/// with a single `write_all`. Writing the length and the body separately
+/// would send two TCP segments, and with Nagle on the body would wait for
+/// the peer's delayed ACK of the first.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
     let json = serde_json::to_string(msg).map_err(std::io::Error::other)?;
     if json.len() > MAX_FRAME {
         return Err(other(format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", json.len())));
     }
-    w.write_all(&(json.len() as u32).to_le_bytes())?;
-    w.write_all(json.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + json.len());
+    frame.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    frame.extend_from_slice(json.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -822,6 +827,48 @@ mod tests {
         write_frame(&mut b, &Request::Run { trial: 3, attempt: 2 }).unwrap();
         let req: Request = read_frame_blocking(&mut a).unwrap();
         assert_eq!(req, Request::Run { trial: 3, attempt: 2 });
+    }
+
+    /// A `Write` that keeps every `write` call's bytes separately.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn assert_one_write<T: Serialize + std::fmt::Debug>(msg: &T) {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, msg).unwrap();
+        assert_eq!(w.writes.len(), 1, "{msg:?} took {} writes", w.writes.len());
+        let json = serde_json::to_string(msg).unwrap();
+        let mut expected = (json.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(json.as_bytes());
+        assert_eq!(w.writes[0], expected, "{msg:?}: 4-byte LE length, then the JSON");
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        use crate::dist::{CoordMsg, ExecutorMsg};
+        assert_one_write(&Request::Run { trial: 3, attempt: 1 });
+        assert_one_write(&Request::Shutdown);
+        assert_one_write(&Reply::Hello { pid: 42 });
+        assert_one_write(&Reply::Heartbeat { trial: 9 });
+        assert_one_write(&Reply::Record { trial: 12, payload: "{\"x\":1}".into() });
+        assert_one_write(&ExecutorMsg::LeaseRequest);
+        assert_one_write(&ExecutorMsg::Trial { lease: 1, shard: 2, seq: 3, payload: "{\"t\":\"µ\"}".into() });
+        assert_one_write(&CoordMsg::Lease { lease: 1, shard: 2, start: 10, end: 20, skip: 4, timeout_ms: 2000 });
+        assert_one_write(&CoordMsg::Wait { backoff_ms: 0 });
+        assert_one_write(&CoordMsg::Done);
     }
 
     #[test]

@@ -58,7 +58,46 @@ fn roundtrip_frame<T: serde::Serialize + for<'de> serde::Deserialize<'de>>(msg: 
     read_frame_blocking(&mut b).expect("read frame")
 }
 
+/// A `Write` that keeps every `write` call's bytes separately.
+#[derive(Default)]
+struct CountingWriter {
+    writes: Vec<Vec<u8>>,
+}
+
+impl std::io::Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The bytes of each `write` call `write_frame` makes for `msg`, and the
+/// frame it should have written: 4-byte LE length, then the JSON.
+fn frame_writes<T: serde::Serialize>(msg: &T) -> (Vec<Vec<u8>>, Vec<u8>) {
+    let mut w = CountingWriter::default();
+    write_frame(&mut w, msg).expect("write frame");
+    let json = serde_json::to_string(msg).unwrap();
+    let mut expected = (json.len() as u32).to_le_bytes().to_vec();
+    expected.extend_from_slice(json.as_bytes());
+    (w.writes, expected)
+}
+
 proptest! {
+    #[test]
+    fn every_frame_is_one_write(
+        triples in prop::collection::vec((0u64..42, any::<u64>(), any::<u64>()), 1..20),
+    ) {
+        for &(s, a, b) in &triples {
+            for (writes, expected) in [frame_writes(&request(s, a, b)), frame_writes(&reply(s, a, b))] {
+                prop_assert_eq!(writes, vec![expected]);
+            }
+        }
+    }
+
     #[test]
     fn requests_roundtrip(
         triples in prop::collection::vec((0u64..6, any::<u64>(), any::<u64>()), 1..20),

@@ -374,6 +374,8 @@ pub struct JournalWriter {
     pub batch: BatchPolicy,
     /// Encoded lines awaiting their batch write, strictly FIFO.
     buf: Vec<u8>,
+    /// How many lines `buf` holds.
+    buf_lines: usize,
     /// When the oldest line still in `buf` was appended.
     buf_oldest: Option<std::time::Instant>,
     /// Set by [`JournalWriter::close`] so `Drop` doesn't double-flush.
@@ -402,6 +404,7 @@ impl JournalWriter {
             rotate_at: SEGMENT_BYTES,
             batch: BatchPolicy::default(),
             buf: Vec::new(),
+            buf_lines: 0,
             buf_oldest: None,
             closed: false,
         };
@@ -440,6 +443,7 @@ impl JournalWriter {
                 rotate_at: SEGMENT_BYTES,
                 batch: BatchPolicy::default(),
                 buf: Vec::new(),
+                buf_lines: 0,
                 buf_oldest: None,
                 closed: false,
             },
@@ -486,6 +490,7 @@ impl JournalWriter {
             return Ok(());
         }
         self.buf.extend_from_slice(&line);
+        self.buf_lines += 1;
         let oldest = *self.buf_oldest.get_or_insert_with(std::time::Instant::now);
         if self.buf.len() >= self.batch.max_bytes || oldest.elapsed() >= self.batch.max_delay {
             self.flush_batch()?;
@@ -503,9 +508,16 @@ impl JournalWriter {
         retry_transient(|| self.file.write_all(&self.buf))?;
         retry_transient(|| self.file.flush())?;
         self.buf.clear();
+        self.buf_lines = 0;
         self.buf_oldest = None;
         obs::incr("store/batch_flushes", 1);
         Ok(())
+    }
+
+    /// Lines appended but not yet committed: they sit in the group-commit
+    /// buffer, and a crash right now would lose them.
+    pub fn buffered_lines(&self) -> usize {
+        self.buf_lines
     }
 
     /// Forces journal bytes to stable storage: commits the buffered batch,

@@ -8,13 +8,17 @@
 //! injection time, every copy is byte-identical, and merging reduces to a
 //! first-writer-wins rule per shard-local sequence number:
 //!
-//! * `seq == next` — fresh: journaled, the cursor advances
-//!   (`dist/merged_trials`);
+//! * `seq == next` — fresh: journaled, the cursor advances;
 //! * `seq < next`  — duplicate: dropped (`dist/dup_trials`);
 //! * `seq > next`  — a gap: a protocol violation (executors stream their
 //!   range in order from the cursor the coordinator handed them), reported
 //!   as an error so the offending connection dies instead of corrupting the
 //!   gapless journal.
+//!
+//! A fresh trial counts as merged (`accepted`, `dist/merged_trials`) only
+//! once the journal has committed it. Until then it sits in the writer's
+//! group-commit buffer, where a crash would lose it, so the counters never
+//! run ahead of what a rescan of the journal finds.
 //!
 //! The result is that the central journal stays a perfectly ordinary
 //! gapless v1 campaign journal: the existing replay, render and determinism
@@ -41,7 +45,10 @@ pub struct Importer {
     next: Vec<u64>,
     /// Shard range lengths (an offered `seq` past its range is corruption).
     caps: Vec<u64>,
+    /// Fresh trials the journal has committed.
     pub accepted: u64,
+    /// Fresh trials still in the writer's group-commit buffer.
+    pending: u64,
     pub duplicates: u64,
 }
 
@@ -54,7 +61,7 @@ impl Importer {
     pub fn new(plan: &ShardPlan, progress: &ShardProgress) -> Self {
         let next: Vec<u64> = progress.shards.iter().map(|s| s.completed).collect();
         let caps: Vec<u64> = (0..plan.shards).map(|s| plan.range(s).len() as u64).collect();
-        Importer { next, caps, accepted: 0, duplicates: 0 }
+        Importer { next, caps, accepted: 0, pending: 0, duplicates: 0 }
     }
 
     /// Next sequence number the merge will accept for `shard` — the resume
@@ -67,6 +74,25 @@ impl Importer {
     /// True once `shard`'s whole range is merged.
     pub fn range_complete(&self, shard: usize) -> bool {
         self.next[shard] >= self.caps[shard]
+    }
+
+    /// Fresh trials offered but not yet committed by the journal.
+    pub fn pending(&self) -> u64 {
+        self.pending
+    }
+
+    /// Counts the pending trials `writer` has committed since the last
+    /// call. Call it after anything that forces the writer's buffer down
+    /// outside [`Importer::offer`] (`sync`, a shard seal). Only trials can
+    /// be pending, so any other buffered line makes this count low, never
+    /// high.
+    pub fn settle(&mut self, writer: &JournalWriter) {
+        let committed = self.pending.saturating_sub(writer.buffered_lines() as u64);
+        if committed > 0 {
+            self.pending -= committed;
+            self.accepted += committed;
+            obs::incr("dist/merged_trials", committed);
+        }
     }
 
     /// Offers one trial; fresh trials are appended to `writer`.
@@ -90,8 +116,8 @@ impl Importer {
         }
         writer.append(&JournalEntry::Trial { shard, seq, payload: payload.to_string() })?;
         self.next[shard] += 1;
-        self.accepted += 1;
-        obs::incr("dist/merged_trials", 1);
+        self.pending += 1;
+        self.settle(writer);
         Ok(Offer::Accepted)
     }
 }
@@ -138,8 +164,13 @@ mod tests {
         assert!(err.to_string().contains("past its range"), "{err}");
         let err = imp.offer(&mut w, 9, 0, "{}").unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
-        assert_eq!(imp.accepted, 2);
+        assert_eq!(imp.accepted + imp.pending(), 2);
         assert_eq!(imp.duplicates, 1);
+        // Merged counts what the journal committed: both trials once the
+        // group-commit buffer is down.
+        w.sync().unwrap();
+        imp.settle(&w);
+        assert_eq!((imp.accepted, imp.pending()), (2, 0));
         drop(w);
 
         let scan = Journal::scan(&dir).unwrap();

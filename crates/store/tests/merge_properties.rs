@@ -103,6 +103,11 @@ proptest! {
                 imp.offer(&mut w, shard, next, &payload(plan.range(shard).start + next as usize)).unwrap();
             }
         }
+        // Merged counts what the journal committed: every trial once the
+        // group-commit buffer is down.
+        prop_assert_eq!(imp.accepted + imp.pending(), trials as u64);
+        w.sync().unwrap();
+        imp.settle(&w);
         prop_assert_eq!(imp.accepted, trials as u64);
         prop_assert_eq!(imp.duplicates, expected_dups);
         w.close().unwrap();
