@@ -14,9 +14,10 @@
 
 use crate::effects::BeamApplicator;
 use crate::flux::FluxEnvironment;
+use carolfi::checkpoint::{Golden, Timeline};
 use carolfi::output::Output;
 use carolfi::record::{DueKind, OutcomeRecord, TrialRecord};
-use carolfi::supervisor::{run_trial_mut, TrialConfig, TrialOutcome};
+use carolfi::supervisor::{run_trial_mut, StatsTally, TrialConfig, TrialOutcome, TrialStats};
 use carolfi::target::FaultTarget;
 use carolfi::TargetPool;
 use phidev::mca::{McaLog, McaSeverity};
@@ -34,9 +35,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub const SIGMA_RAW_CM2: f64 = 9.0e-8;
 
 /// Per-strike result slot: the record, the MCA severity (if any), the
-/// outcome-counter key and whether the bitwise fast-path compare classified
-/// the strike, filled by whichever worker executed the strike.
-type StrikeSlot = Option<(TrialRecord, Option<McaSeverity>, &'static str, bool)>;
+/// outcome-counter key and the strike's [`TrialStats`], filled by whichever
+/// worker executed the strike.
+type StrikeSlot = Option<(TrialRecord, Option<McaSeverity>, &'static str, TrialStats)>;
 
 /// Per-benchmark control-flow densities used to build the strike engine for
 /// the Fig. 2 reproduction. Derived from each benchmark's character (paper
@@ -200,8 +201,8 @@ impl BeamCampaign {
 }
 
 /// Executes one strike of the campaign described by `cfg` and returns its
-/// record plus the MCA event (if any), the struck resource's label and
-/// whether the bitwise fast-path compare classified it.
+/// record plus the MCA event (if any), the struck resource's label and the
+/// strike's [`TrialStats`] (all-default for a strike that never ran).
 ///
 /// `strike` is the strike's campaign-global index, which fully determines
 /// its RNG stream (`carolfi::rng::fork(cfg.seed, strike)`) and therefore the
@@ -210,14 +211,14 @@ impl BeamCampaign {
 /// an aggregate bit-identical to the single-shot campaign. Benign strikes
 /// (dead state, ECC-corrected) never touch the target pool — the program
 /// under test is not executed at all.
-pub fn execute_strike<T, F>(
+pub fn execute_strike<'g, T, F>(
     benchmark: &str,
     pool: &TargetPool<T, F>,
-    golden: &Output,
+    golden: impl Into<Golden<'g>>,
     cfg: &BeamConfig,
     total_steps: usize,
     strike: usize,
-) -> (TrialRecord, Option<McaSeverity>, &'static str, bool)
+) -> (TrialRecord, Option<McaSeverity>, &'static str, TrialStats)
 where
     T: FaultTarget,
     F: Fn() -> T,
@@ -237,16 +238,16 @@ where
 ///   instead, so retries never double-count. Strike identity and the record
 ///   are unaffected — the flags only shape telemetry.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_strike_attempt<T, F>(
+pub fn execute_strike_attempt<'g, T, F>(
     benchmark: &str,
     pool: &TargetPool<T, F>,
-    golden: &Output,
+    golden: impl Into<Golden<'g>>,
     cfg: &BeamConfig,
     total_steps: usize,
     strike: usize,
     attempt: u32,
     count_outcomes: bool,
-) -> (TrialRecord, Option<McaSeverity>, &'static str, bool)
+) -> (TrialRecord, Option<McaSeverity>, &'static str, TrialStats)
 where
     T: FaultTarget,
     F: Fn() -> T,
@@ -261,8 +262,8 @@ where
     };
 
     // Benign strikes don't need an execution.
-    let (outcome, injection, executed, fast) = if effect.is_benign() {
-        (OutcomeRecord::HardwareMasked, None, 0, false)
+    let (outcome, injection, executed, stats) = if effect.is_benign() {
+        (OutcomeRecord::HardwareMasked, None, 0, TrialStats::default())
     } else {
         let mut applicator = BeamApplicator { effect, resource: resource.label() };
         let mut target = pool.acquire();
@@ -280,7 +281,7 @@ where
             TrialOutcome::Due(c) => OutcomeRecord::Due(c.into()),
         };
         pool.release(target, outcome.is_due());
-        (outcome, result.injection, result.executed_steps, result.fast_compare)
+        (outcome, result.injection, result.executed_steps, result.stats)
     };
 
     let record = TrialRecord {
@@ -308,7 +309,7 @@ where
             }
         }
     }
-    (record, mca_event, resource.label(), fast)
+    (record, mca_event, resource.label(), stats)
 }
 
 /// Synthesises the record of a strike whose worker process died (abort,
@@ -376,11 +377,13 @@ where
     F: Fn() -> T + Sync,
 {
     let _quiet = carolfi::panic_guard::silence_panics();
-    let probe = factory();
+    let mut probe = factory();
     let total_steps = probe.total_steps().max(1);
+    let timeline = Timeline::record(&mut probe, golden);
+    let golden = Golden::new(golden, &timeline);
     let pool = TargetPool::new(&factory);
     pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
+    let stats = StatsTally::default();
     let wall = std::time::Instant::now();
     let busy_ns = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
@@ -397,7 +400,6 @@ where
         for _ in 0..workers {
             scope.spawn(|_| {
                 let mut local_busy = 0u64;
-                let mut local_fast = 0u64;
                 loop {
                     let strike = next.fetch_add(1, Ordering::Relaxed);
                     if strike >= cfg.strikes {
@@ -406,11 +408,10 @@ where
                     let t0 = std::time::Instant::now();
                     let slot = execute_strike(benchmark, &pool, golden, cfg, total_steps, strike);
                     local_busy += t0.elapsed().as_nanos() as u64;
-                    local_fast += slot.3 as u64;
+                    stats.add(slot.3);
                     *slots[strike].lock() = Some(slot);
                 }
                 busy_ns.fetch_add(local_busy, Ordering::Relaxed);
-                fast_compares.fetch_add(local_fast, Ordering::Relaxed);
             });
         }
     })
@@ -442,7 +443,7 @@ where
     );
     report.pool_hits = pool.hits();
     report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares.into_inner();
+    stats.fill(&mut report);
     BeamCampaign { benchmark: benchmark.to_string(), records, mca, sigma_raw: cfg.sigma_raw, environment: cfg.environment, report }
 }
 

@@ -12,7 +12,9 @@
 
 use crate::campaign::{execute_strike, mca_from_records, outcome_key, report_for, synth_due_strike, BeamCampaign, BeamConfig};
 use carolfi::orchestrator::{drive_isolated, drive_shards, open_journal, StoreConfig, StoredRun};
+use carolfi::checkpoint::{Golden, Timeline};
 use carolfi::output::Output;
+use carolfi::supervisor::StatsTally;
 use carolfi::target::FaultTarget;
 use carolfi::warden::IsolateConfig;
 use std::sync::atomic::AtomicU64;
@@ -34,11 +36,13 @@ where
     F: Fn() -> T + Sync,
 {
     let _quiet = carolfi::panic_guard::silence_panics();
-    let probe = factory();
+    let mut probe = factory();
     let total_steps = probe.total_steps().max(1);
+    let timeline = Timeline::record(&mut probe, golden);
+    let golden = Golden::new(golden, &timeline);
     let pool = carolfi::TargetPool::new(&factory);
     pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
+    let stats = StatsTally::default();
     let wall = std::time::Instant::now();
     let busy_ns = AtomicU64::new(0);
 
@@ -61,10 +65,8 @@ where
     };
 
     let run = drive_shards(plan, &progress, prior, writer, store_cfg, workers, &busy_ns, |strike| {
-        let (record, _mca, _resource, fast) = execute_strike(benchmark, &pool, golden, cfg, total_steps, strike);
-        if fast {
-            fast_compares.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        let (record, _mca, _resource, trial_stats) = execute_strike(benchmark, &pool, golden, cfg, total_steps, strike);
+        stats.add(trial_stats);
         record
     })?;
     Ok(match run {
@@ -75,7 +77,7 @@ where
             let mut report = report_for(benchmark, &records, workers, busy_ns.into_inner(), wall.elapsed().as_nanos() as u64);
             report.pool_hits = pool.hits();
             report.pool_rebuilds = pool.rebuilds();
-            report.fast_path_compares = fast_compares.into_inner();
+            stats.fill(&mut report);
             StoredRun::Complete(BeamCampaign {
                 benchmark: benchmark.to_string(),
                 records,

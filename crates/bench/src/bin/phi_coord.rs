@@ -266,19 +266,19 @@ fn run_executor_mode(a: &Args) -> ! {
         let ccfg = p.campaign_config();
         let g = golden(b, size);
         // Same execution path as the single-host stored runner: pooled
-        // targets, `execute_trial` keyed by global index, records serialized
-        // with the identical serializer — the byte-identity contract.
+        // targets forked from the golden timeline, `execute_trial` keyed by
+        // global index, records serialized with the identical serializer —
+        // the byte-identity contract.
         let pool = carolfi::TargetPool::new(move || build(b, size));
-        let total_steps = {
-            let probe = pool.acquire();
-            let steps = probe.total_steps().max(1);
-            pool.release(probe, false);
-            steps
-        };
+        let mut probe = pool.acquire();
+        let total_steps = probe.total_steps().max(1);
+        let timeline = carolfi::Timeline::record(&mut probe, &g);
+        pool.release(probe, false);
         move |global: u64| {
             let mut target = pool.acquire();
+            let golden = carolfi::Golden::new(&g, &timeline);
             let (record, _) =
-                carolfi::campaign::execute_trial(label, &mut target, &g, &ccfg, total_steps, global as usize);
+                carolfi::campaign::execute_trial(label, &mut target, golden, &ccfg, total_steps, global as usize);
             pool.release(target, record.outcome.is_due());
             serde_json::to_string(&record).expect("trial records serialize")
         }

@@ -266,10 +266,12 @@ pub fn maybe_run_worker() {
     // once when it journals the winning record, so warden retries of a
     // killed attempt never double-count.
     obs::install(Arc::new(obs::CounterRecorder::new()));
-    let g = golden(b, size);
+    let output = golden(b, size);
     let factory = || build(b, size);
-    let probe = factory();
+    let mut probe = factory();
     let total_steps = probe.total_steps().max(1);
+    let timeline = carolfi::Timeline::record(&mut probe, &output);
+    let g = carolfi::Golden::new(&output, &timeline);
     let pool = carolfi::TargetPool::new(&factory);
     pool.seed(probe);
     let result = match spec.kind.as_str() {
@@ -280,7 +282,7 @@ pub fn maybe_run_worker() {
                 let (record, _) = carolfi::campaign::execute_trial_attempt(
                     b.label(),
                     &mut target,
-                    &g,
+                    g,
                     &ccfg,
                     total_steps,
                     trial,
@@ -300,7 +302,7 @@ pub fn maybe_run_worker() {
                 ..Default::default()
             };
             carolfi::warden::serve(|strike, attempt| {
-                beamsim::campaign::execute_strike_attempt(b.label(), &pool, &g, &bcfg, total_steps, strike, attempt, false).0
+                beamsim::campaign::execute_strike_attempt(b.label(), &pool, g, &bcfg, total_steps, strike, attempt, false).0
             })
         }
         other => {
@@ -486,7 +488,7 @@ pub fn beam_records_stored(b: Benchmark, cfg: &RunConfig, store: &StoreArgs) -> 
         return beam_records(b, cfg);
     };
     match spec_run_or_exit(spec::CampaignKind::Beam, b, cfg, store, &sc) {
-        spec::SpecRun::Beam(campaign) => campaign,
+        spec::SpecRun::Beam(campaign) => *campaign,
         _ => unreachable!("beam specs produce beam campaigns"),
     }
 }

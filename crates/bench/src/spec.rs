@@ -427,7 +427,7 @@ pub enum SpecRun {
     /// Budget exhausted; the journal holds a resumable prefix.
     Paused { completed: u64, total: usize },
     Inject(Vec<TrialRecord>),
-    Beam(BeamCampaign),
+    Beam(Box<BeamCampaign>),
 }
 
 /// Executes a spec against `dir` — the one dispatch point over
@@ -452,7 +452,7 @@ pub fn run_spec(p: &ParsedSpec, dir: &Path, resume: bool, budget: Option<usize>)
             };
             Ok(match run {
                 StoredRun::Paused { completed, total } => paused(completed, total),
-                StoredRun::Complete(c) => SpecRun::Beam(c),
+                StoredRun::Complete(c) => SpecRun::Beam(Box::new(c)),
             })
         }
         CampaignKind::Inject => {

@@ -20,11 +20,13 @@
 //! replayed planner and cross-checks it against the journaled
 //! [`JournalEntry::Plan`] records before continuing.
 
-use crate::campaign::{execute_trial, report_for, Campaign, CampaignConfig};
+use crate::campaign::{execute_trial_attempt, report_for, Campaign, CampaignConfig};
+use crate::checkpoint::{Golden, Timeline};
 use crate::monitor::PlannerStatus;
-use crate::orchestrator::{panic_message, StoreConfig, StoredRun};
+use crate::orchestrator::{panic_message, DurableJournal, StoreConfig, StoredRun};
 use crate::output::Output;
 use crate::record::TrialRecord;
+use crate::supervisor::StatsTally;
 use crate::target::FaultTarget;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use store::{CampaignMeta, Journal, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, ShardState};
@@ -224,11 +226,13 @@ where
 {
     assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
     let _quiet = crate::panic_guard::silence_panics();
-    let probe = factory();
+    let mut probe = factory();
     let total_steps = probe.total_steps().max(1);
+    let timeline = Timeline::record(&mut probe, golden);
+    let golden = Golden::new(golden, &timeline);
     let pool = crate::pool::TargetPool::new(&factory);
     pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
+    let stats = StatsTally::default();
     let wall = std::time::Instant::now();
     let busy_ns = AtomicU64::new(0);
 
@@ -241,7 +245,8 @@ where
         n_windows: cfg.n_windows,
         version: store::journal::ADAPTIVE_FORMAT_VERSION,
     };
-    let (mut writer, plans, mut records, sealed) = open_adaptive_journal(store_cfg, meta)?;
+    let (writer, plans, mut records, sealed) = open_adaptive_journal(store_cfg, meta)?;
+    let mut writer = DurableJournal::new(writer);
     let progress = ShardProgress {
         shards: vec![ShardState { completed: records.len() as u64, done: sealed, payloads: Vec::new() }],
     };
@@ -282,7 +287,6 @@ where
                                 trials: decision.trials.clone(),
                             };
                             store::retry_transient(|| writer.append(&entry))?;
-                            obs::incr("planner/batches", 1);
                             if obs::enabled() {
                                 obs::event(
                                     "plan",
@@ -314,7 +318,6 @@ where
                 for _ in 0..batch_workers {
                     scope.spawn(|_| {
                         let mut local_busy = 0u64;
-                        let mut local_fast = 0u64;
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= todo.len() {
@@ -327,15 +330,23 @@ where
                             // batch before its predecessors are journaled.
                             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 let mut target = pool.acquire();
-                                let (record, fast) =
-                                    execute_trial(benchmark, &mut target, golden, cfg, total_steps, trial);
+                                let (record, trial_stats) = execute_trial_attempt(
+                                    benchmark,
+                                    &mut target,
+                                    golden,
+                                    cfg,
+                                    total_steps,
+                                    trial,
+                                    0,
+                                    true,
+                                );
                                 pool.release(target, record.outcome.is_due());
-                                (record, fast)
+                                (record, trial_stats)
                             }));
                             local_busy += t0.elapsed().as_nanos() as u64;
                             match out {
-                                Ok((record, fast)) => {
-                                    local_fast += fast as u64;
+                                Ok((record, trial_stats)) => {
+                                    stats.add(trial_stats);
                                     *slots[i].lock() = Some(Ok(record));
                                 }
                                 Err(payload) => {
@@ -345,7 +356,6 @@ where
                             }
                         }
                         busy_ns.fetch_add(local_busy, Ordering::Relaxed);
-                        fast_compares.fetch_add(local_fast, Ordering::Relaxed);
                     });
                 }
             })
@@ -360,7 +370,6 @@ where
                     Ok(record) => {
                         let payload = serde_json::to_string(&record)
                             .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
-                        obs::incr("store/trials", 1);
                         store::retry_transient(|| {
                             writer.append(&JournalEntry::Trial { shard: 0, seq: executed as u64, payload: payload.clone() })
                         })?;
@@ -408,7 +417,7 @@ where
     let mut report = report_for(benchmark, &records, workers, busy_ns.into_inner(), wall.elapsed().as_nanos() as u64);
     report.pool_hits = pool.hits();
     report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares.into_inner();
+    stats.fill(&mut report);
     report.strata_total = gauges.strata_total as usize;
     report.strata_open = gauges.strata_open as usize;
     report.widest_ci = gauges.widest_ci;

@@ -9,12 +9,13 @@
 //! trial runs under its own RNG stream so results do not depend on worker
 //! scheduling.
 
+use crate::checkpoint::{Golden, Timeline};
 use crate::models::{CarolFiApplicator, FaultModel};
 use crate::output::Output;
 use crate::pool::TargetPool;
 use crate::record::{DueKind, OutcomeRecord, TrialRecord};
 use crate::select::VariableSelector;
-use crate::supervisor::{run_trial_mut, TrialConfig, TrialOutcome};
+use crate::supervisor::{run_trial_mut, StatsTally, TrialConfig, TrialOutcome, TrialStats};
 use crate::target::FaultTarget;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -180,19 +181,25 @@ pub fn trial_stratum(cfg: &CampaignConfig, total_steps: usize, trial: usize) -> 
 /// aggregate bit-identical to the single-shot campaign. The target is
 /// borrowed (not consumed) so pooled runners can `reset()` and reuse it; a
 /// fresh `factory()` instance per call produces the same record bits.
-pub fn execute_trial<T: FaultTarget>(
+///
+/// `golden` is the golden output, optionally with its checkpoint
+/// [`Timeline`](crate::checkpoint::Timeline): the record is the same either
+/// way, the timeline only makes it cheaper to reach.
+pub fn execute_trial<'g, T: FaultTarget>(
     benchmark: &str,
     target: &mut T,
-    golden: &Output,
+    golden: impl Into<Golden<'g>>,
     cfg: &CampaignConfig,
     total_steps: usize,
     trial: usize,
 ) -> (TrialRecord, bool) {
-    execute_trial_attempt(benchmark, target, golden, cfg, total_steps, trial, 0, true)
+    let (record, stats) = execute_trial_attempt(benchmark, target, golden, cfg, total_steps, trial, 0, true);
+    (record, stats.fast_compare)
 }
 
-/// [`execute_trial`] with explicit telemetry policy, for warden workers
-/// whose trials may run more than once:
+/// [`execute_trial`] with explicit telemetry policy and the trial's full
+/// [`TrialStats`], for campaign runners and for warden workers whose trials
+/// may run more than once:
 ///
 /// * `attempt` tags the emitted event — attempt 0 keeps the stable `trial`
 ///   kind (and payload schema), retries become `trial_retry` events wrapping
@@ -207,16 +214,16 @@ pub fn execute_trial<T: FaultTarget>(
 /// The returned record is bit-identical regardless of `attempt` /
 /// `count_outcomes` — they only shape telemetry.
 #[allow(clippy::too_many_arguments)]
-pub fn execute_trial_attempt<T: FaultTarget>(
+pub fn execute_trial_attempt<'g, T: FaultTarget>(
     benchmark: &str,
     target: &mut T,
-    golden: &Output,
+    golden: impl Into<Golden<'g>>,
     cfg: &CampaignConfig,
     total_steps: usize,
     trial: usize,
     attempt: u32,
     count_outcomes: bool,
-) -> (TrialRecord, bool) {
+) -> (TrialRecord, TrialStats) {
     let mut rng = crate::rng::fork(cfg.seed, trial as u64);
     let model = cfg.models[trial % cfg.models.len()];
     let inject_step = rng.gen_range(0..total_steps);
@@ -228,7 +235,7 @@ pub fn execute_trial_attempt<T: FaultTarget>(
         TrialConfig { inject_step, watchdog_factor: cfg.watchdog_factor },
         &mut rng,
     );
-    let outcome = match result.outcome {
+        let outcome = match result.outcome {
         TrialOutcome::Masked => OutcomeRecord::Masked,
         TrialOutcome::HardwareMasked => OutcomeRecord::HardwareMasked,
         TrialOutcome::Sdc(s) => OutcomeRecord::Sdc(s),
@@ -261,7 +268,7 @@ pub fn execute_trial_attempt<T: FaultTarget>(
             }
         }
     }
-    (record, result.fast_compare)
+    (record, result.stats)
 }
 
 /// Builds the DUE record for a trial whose worker process died
@@ -305,7 +312,9 @@ pub fn synth_due_record(
 /// `cfg.workers`. Targets are pooled: each worker reuses an instance via
 /// [`FaultTarget::reset`] instead of calling `factory()` per trial, with a
 /// factory rebuild after every DUE — the records stay bit-identical to the
-/// factory-per-trial path either way.
+/// factory-per-trial path either way. The probe target built to read the
+/// step count also records the golden checkpoint [`Timeline`] every trial
+/// forks from and converges to.
 pub fn run_campaign<T, F>(benchmark: &str, factory: F, golden: &Output, cfg: &CampaignConfig) -> Campaign
 where
     T: FaultTarget,
@@ -313,11 +322,13 @@ where
 {
     assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
     let _quiet = crate::panic_guard::silence_panics();
-    let probe = factory();
+    let mut probe = factory();
     let total_steps = probe.total_steps().max(1);
+    let timeline = Timeline::record(&mut probe, golden);
+    let golden = Golden::new(golden, &timeline);
     let pool = TargetPool::new(&factory);
     pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
+    let stats = StatsTally::default();
 
     let wall = std::time::Instant::now();
     let busy_ns = AtomicU64::new(0);
@@ -335,7 +346,6 @@ where
         for _ in 0..workers {
             scope.spawn(|_| {
                 let mut local_busy = 0u64;
-                let mut local_fast = 0u64;
                 loop {
                     let trial = next.fetch_add(1, Ordering::Relaxed);
                     if trial >= cfg.trials {
@@ -343,14 +353,14 @@ where
                     }
                     let t0 = std::time::Instant::now();
                     let mut target = pool.acquire();
-                    let (record, fast) = execute_trial(benchmark, &mut target, golden, cfg, total_steps, trial);
+                    let (record, trial_stats) =
+                        execute_trial_attempt(benchmark, &mut target, golden, cfg, total_steps, trial, 0, true);
                     pool.release(target, record.outcome.is_due());
                     local_busy += t0.elapsed().as_nanos() as u64;
-                    local_fast += fast as u64;
+                    stats.add(trial_stats);
                     *records[trial].lock() = Some(record);
                 }
                 busy_ns.fetch_add(local_busy, Ordering::Relaxed);
-                fast_compares.fetch_add(local_fast, Ordering::Relaxed);
             });
         }
     })
@@ -369,7 +379,7 @@ where
     );
     report.pool_hits = pool.hits();
     report.pool_rebuilds = pool.rebuilds();
-    report.fast_path_compares = fast_compares.into_inner();
+    stats.fill(&mut report);
     Campaign { benchmark: benchmark.to_string(), records, report }
 }
 

@@ -39,6 +39,7 @@
 pub mod adaptive;
 pub mod bytesview;
 pub mod campaign;
+pub mod checkpoint;
 pub mod dist;
 pub mod fuel;
 pub mod models;
@@ -56,6 +57,7 @@ pub mod warden;
 
 pub use adaptive::{run_campaign_adaptive, AllocationPlanner, PlanDecision};
 pub use campaign::{run_campaign, Campaign, CampaignConfig};
+pub use checkpoint::{Checkpoint, Golden, Timeline};
 pub use dist::{run_coordinator, run_executor, ConnectTarget, CoordConfig, CoordSummary, ExecutorConfig, ExecutorSummary};
 pub use orchestrator::{run_campaign_isolated, run_campaign_stored, StoreConfig, StoredRun};
 pub use warden::{IsolateConfig, IsolatedTrial, Warden};

@@ -13,14 +13,18 @@
 //! with no trial re-executed or double-counted (the journal's per-shard
 //! sequence numbers are validated gapless on every open).
 
-use crate::campaign::{execute_trial, outcome_key, report_for, Campaign, CampaignConfig};
+use crate::campaign::{execute_trial_attempt, outcome_key, report_for, Campaign, CampaignConfig};
+use crate::checkpoint::{Golden, Timeline};
 use crate::output::Output;
 use crate::record::{DueKind, TrialRecord};
+use crate::supervisor::StatsTally;
 use crate::target::FaultTarget;
 use crate::warden::{IsolateConfig, IsolatedTrial, Warden};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use store::{CampaignMeta, Journal, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, StopFlag};
+use store::{
+    CampaignMeta, CommitCounter, Journal, JournalEntry, JournalWriter, ShardCursor, ShardPlan, ShardProgress, StopFlag,
+};
 
 /// Durability/orchestration knobs, shared by the injection and beam stored
 /// campaign runners.
@@ -143,6 +147,59 @@ pub fn open_journal(
     Ok((writer, progress, prior))
 }
 
+/// A campaign journal whose counters report what is durable: `store/trials`
+/// and `planner/batches` count a trial or plan line once the writer has
+/// committed it, never while it sits in the group-commit buffer where a
+/// crash would lose it.
+pub(crate) struct DurableJournal {
+    writer: JournalWriter,
+    trials: CommitCounter,
+    plans: CommitCounter,
+}
+
+impl DurableJournal {
+    pub(crate) fn new(writer: JournalWriter) -> Self {
+        DurableJournal { writer, trials: CommitCounter::default(), plans: CommitCounter::default() }
+    }
+
+    pub(crate) fn append(&mut self, entry: &JournalEntry) -> std::io::Result<()> {
+        self.writer.append(entry)?;
+        match entry {
+            JournalEntry::Trial { .. } => self.trials.appended(),
+            JournalEntry::Plan { .. } => self.plans.appended(),
+            _ => {}
+        }
+        self.settle();
+        Ok(())
+    }
+
+    pub(crate) fn sync(&mut self) -> std::io::Result<()> {
+        self.writer.sync()?;
+        self.settle();
+        Ok(())
+    }
+
+    /// Retires the writer; everything appended is then committed.
+    pub(crate) fn close(self) -> std::io::Result<()> {
+        let DurableJournal { writer, trials, plans } = self;
+        writer.close()?;
+        obs::incr("store/trials", trials.uncommitted());
+        obs::incr("planner/batches", plans.uncommitted());
+        Ok(())
+    }
+
+    fn settle(&mut self) {
+        let trials = self.trials.settle(&self.writer);
+        let plans = self.plans.settle(&self.writer);
+        if trials > 0 {
+            obs::incr("store/trials", trials);
+        }
+        if plans > 0 {
+            obs::incr("planner/batches", plans);
+        }
+    }
+}
+
 /// Extracts a displayable message from a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -183,7 +240,7 @@ pub fn drive_shards(
 ) -> std::io::Result<StoredRun<Vec<TrialRecord>>> {
     let stop = StopFlag::new();
     let spent = AtomicUsize::new(0);
-    let journal = parking_lot::Mutex::new(writer);
+    let journal = parking_lot::Mutex::new(DurableJournal::new(writer));
     let io_error: parking_lot::Mutex<Option<std::io::Error>> = parking_lot::Mutex::new(None);
     let shard_panics: parking_lot::Mutex<Vec<String>> = parking_lot::Mutex::new(Vec::new());
     let new_records: Vec<parking_lot::Mutex<Vec<TrialRecord>>> = (0..plan.shards).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
@@ -260,7 +317,6 @@ pub fn drive_shards(
                     return;
                 }
             };
-            obs::incr("store/trials", 1);
             if let Err(e) = store::retry_transient(|| {
                 journal.lock().append(&JournalEntry::Trial { shard, seq: seq as u64, payload: payload.clone() })
             }) {
@@ -357,11 +413,13 @@ where
 {
     assert!(!cfg.models.is_empty(), "campaign needs at least one fault model");
     let _quiet = crate::panic_guard::silence_panics();
-    let probe = factory();
+    let mut probe = factory();
     let total_steps = probe.total_steps().max(1);
+    let timeline = Timeline::record(&mut probe, golden);
+    let golden = Golden::new(golden, &timeline);
     let pool = crate::pool::TargetPool::new(&factory);
     pool.seed(probe);
-    let fast_compares = AtomicU64::new(0);
+    let stats = StatsTally::default();
     let wall = std::time::Instant::now();
     let busy_ns = AtomicU64::new(0);
 
@@ -385,11 +443,9 @@ where
 
     let run = drive_shards(plan, &progress, prior, writer, store_cfg, workers, &busy_ns, |trial| {
         let mut target = pool.acquire();
-        let (record, fast) = execute_trial(benchmark, &mut target, golden, cfg, total_steps, trial);
+        let (record, trial_stats) = execute_trial_attempt(benchmark, &mut target, golden, cfg, total_steps, trial, 0, true);
         pool.release(target, record.outcome.is_due());
-        if fast {
-            fast_compares.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        stats.add(trial_stats);
         record
     })?;
     Ok(match run {
@@ -399,7 +455,7 @@ where
             let mut report = report_for(benchmark, &records, workers, busy_ns.into_inner(), wall.elapsed().as_nanos() as u64);
             report.pool_hits = pool.hits();
             report.pool_rebuilds = pool.rebuilds();
-            report.fast_path_compares = fast_compares.into_inner();
+            stats.fill(&mut report);
             StoredRun::Complete(Campaign { benchmark: benchmark.to_string(), records, report })
         }
     })
@@ -531,7 +587,7 @@ pub fn run_campaign_isolated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::{execute_trial, run_campaign};
     use crate::target::{StepOutcome, VarClass, VarInfo, Variable};
 
     /// Tiny deterministic victim (mirror of the campaign-test victim).
@@ -608,6 +664,51 @@ mod tests {
             assert_eq!(x.outcome, y.outcome);
             assert_eq!(x.executed_steps, y.executed_steps);
         }
+    }
+
+    /// Appends `n` one-trial plans with their trials, then "crashes": the
+    /// writer is leaked, so nothing still in its group-commit buffer reaches
+    /// the journal. Returns the `(trials, plans)` counted and the ones a
+    /// rescan of the journal finds.
+    fn crash_after(name: &str, batch_bytes: usize, n: u64) -> ((u64, u64), (u64, u64)) {
+        let dir = tmp(name);
+        let meta = CampaignMeta {
+            kind: "inject".into(),
+            benchmark: "victim".into(),
+            seed: 1,
+            trials: n as usize,
+            shards: 1,
+            n_windows: 4,
+            version: store::journal::ADAPTIVE_FORMAT_VERSION,
+        };
+        let mut writer = JournalWriter::create(&dir, meta).unwrap();
+        writer.batch = store::BatchPolicy { max_bytes: batch_bytes, max_delay: std::time::Duration::from_secs(3600) };
+        let mut journal = DurableJournal::new(writer);
+        for seq in 0..n {
+            let plan = JournalEntry::Plan { batch: seq, stratum: "s".into(), widest_ci: 1.0, trials: vec![seq as usize] };
+            journal.append(&plan).unwrap();
+            journal.append(&JournalEntry::Trial { shard: 0, seq, payload: format!("{{\"trial\":{seq}}}") }).unwrap();
+        }
+        let counted = (n - journal.trials.uncommitted(), n - journal.plans.uncommitted());
+        std::mem::forget(journal);
+        let entries = Journal::scan(&dir).unwrap().entries;
+        let trials = entries.iter().filter(|e| matches!(e, JournalEntry::Trial { .. })).count() as u64;
+        let plans = entries.iter().filter(|e| matches!(e, JournalEntry::Plan { .. })).count() as u64;
+        (counted, (trials, plans))
+    }
+
+    #[test]
+    fn a_crash_after_buffering_counts_nothing_it_lost() {
+        // Nothing committed: the whole run sits in the buffer when it dies.
+        let (counted, found) = crash_after("crash-buffered", 1 << 20, 5);
+        assert_eq!(found, (0, 0), "the crash lost every buffered line");
+        assert_eq!(counted, (0, 0));
+
+        // Some batches committed, a tail still buffered: the counters equal
+        // what a rescan of the journal finds, never what was appended.
+        let (counted, found) = crash_after("crash-partial", 256, 9);
+        assert!(found.0 > 0 && found.0 < 9, "{} of 9 trials committed", found.0);
+        assert_eq!(counted, found);
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl Output {
 }
 
 /// Word-at-a-time byte equality: 8-byte `u64` chunks first, then the tail.
-fn bytes_equal_wordwise(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn bytes_equal_wordwise(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }

@@ -250,6 +250,39 @@ pub trait FaultTarget: Send {
     fn reset(&mut self) -> bool {
         false
     }
+
+    /// Saves the target's state at the current step boundary, or `None`
+    /// (the default) when the target does not support checkpoints — its
+    /// trials then never fork and never stop early.
+    ///
+    /// A checkpoint must capture *all* state the rest of the run reads,
+    /// including non-injectable scratch and step counters, so that
+    /// [`FaultTarget::restore`] followed by stepping to completion is
+    /// bit-identical to the uninterrupted run. It need only store what a
+    /// fault-free run writes: read-only inputs live in the target's one
+    /// pristine copy, which `restore` copies back and `matches` compares
+    /// against. See [`crate::checkpoint`].
+    fn checkpoint(&self) -> Option<crate::checkpoint::Checkpoint> {
+        None
+    }
+
+    /// Puts the target into the state `cp` saved, including every read-only
+    /// input a previous trial may have corrupted. Returns `false`, leaving
+    /// the target untouched, when `cp` is not one of this target type's
+    /// checkpoints (and always, by default).
+    fn restore(&mut self, _cp: &crate::checkpoint::Checkpoint) -> bool {
+        false
+    }
+
+    /// True when the target's whole state — everything `checkpoint` saves
+    /// plus the read-only inputs — is bit-identical to the state `cp` saved
+    /// (with its pristine inputs). Equality is bitwise
+    /// ([`crate::checkpoint::bits_eq`]), never `f64 ==`: `-0.0` is not
+    /// `0.0`, and NaN payloads must match. The default, `false`, disables
+    /// the convergence cutoff.
+    fn matches(&self, _cp: &crate::checkpoint::Checkpoint) -> bool {
+        false
+    }
 }
 
 /// Boxed targets forward the trait, so registries can hand out
@@ -284,6 +317,15 @@ impl FaultTarget for Box<dyn FaultTarget> {
     }
     fn reset(&mut self) -> bool {
         self.as_mut().reset()
+    }
+    fn checkpoint(&self) -> Option<crate::checkpoint::Checkpoint> {
+        self.as_ref().checkpoint()
+    }
+    fn restore(&mut self, cp: &crate::checkpoint::Checkpoint) -> bool {
+        self.as_mut().restore(cp)
+    }
+    fn matches(&self, cp: &crate::checkpoint::Checkpoint) -> bool {
+        self.as_ref().matches(cp)
     }
 }
 

@@ -32,9 +32,11 @@ pub mod sort;
 pub mod tree;
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
+use std::sync::Arc;
 
 /// Gravitational constant of the shallow-water system.
 const GRAVITY: f64 = 9.8;
@@ -90,6 +92,51 @@ struct Ctrl {
     cell_scratch: u64,
 }
 
+impl Ctrl {
+    /// Every field's bit pattern, for bitwise state comparison.
+    fn bits(&self) -> [u64; 6] {
+        [
+            self.ncells_local,
+            self.fine_local,
+            self.tstep_local,
+            self.hc_scratch.to_bits(),
+            self.div_scratch.to_bits(),
+            self.cell_scratch,
+        ]
+    }
+}
+
+/// The state a fault-free run writes, saved at a step boundary: the whole
+/// mesh, the Sort and Tree state and the per-timestep cell history. The
+/// physical constants, the raw setup parameters and `ptr_state` are never
+/// written.
+struct Progress {
+    ci: Vec<u32>,
+    cj: Vec<u32>,
+    clevel: Vec<u32>,
+    h: Vec<f64>,
+    uvel: Vec<f64>,
+    vvel: Vec<f64>,
+    grad: Vec<f64>,
+    ncells: u64,
+    sort_keys: Vec<u64>,
+    sorted_idx: Vec<u32>,
+    sort_scratch: Vec<u32>,
+    tree_child: Vec<i32>,
+    tree_cell: Vec<i32>,
+    ctrl: Vec<Ctrl>,
+    cell_history: Vec<usize>,
+}
+
+/// The read-only inputs and the pre-run state — *after* the setup
+/// pre-refinement, so `reset()` restores the adapted starting mesh —
+/// shared by a target and its clones.
+struct Pristine {
+    consts: [f64; 6],
+    raw: [f64; 4],
+    start: Checkpoint,
+}
+
 /// The CLAMR fault target.
 #[derive(Clone)]
 pub struct Clamr {
@@ -127,10 +174,8 @@ pub struct Clamr {
     total: usize,
     /// Active cell count after each timestep (for the window analysis).
     cell_history: Vec<usize>,
-    /// Pristine snapshot taken at the end of `new()` — *after* the pre-run
-    /// refinement setup, so `reset()` restores the adapted starting mesh
-    /// (its own `pristine` is `None`).
-    pristine: Option<Box<Clamr>>,
+    /// Set once at the end of `new()`.
+    pristine: Option<Arc<Pristine>>,
 }
 
 impl Clamr {
@@ -207,8 +252,18 @@ impl Clamr {
             c.compute_gradients();
             c.phase_remesh();
         }
-        c.pristine = Some(Box::new(c.clone()));
+        let start = c.checkpoint().expect("clamr takes checkpoints");
+        c.pristine = Some(Arc::new(Pristine { consts: c.consts(), raw: c.raw, start }));
         c
+    }
+
+    /// The live physical constants, in declaration order.
+    fn consts(&self) -> [f64; 6] {
+        [self.dt, self.gravity, self.damping, self.friction, self.refine_thresh, self.coarsen_thresh]
+    }
+
+    fn pristine(&self) -> &Arc<Pristine> {
+        self.pristine.as_ref().expect("set at the end of new()")
     }
 
     /// Active cell counts recorded after each timestep.
@@ -623,35 +678,80 @@ impl FaultTarget for Clamr {
     }
 
     fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
+        let pristine = Arc::clone(self.pristine());
+        self.restore(&pristine.start)
+    }
+
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        let progress = Progress {
+            ci: self.ci.clone(),
+            cj: self.cj.clone(),
+            clevel: self.clevel.clone(),
+            h: self.h.clone(),
+            uvel: self.uvel.clone(),
+            vvel: self.vvel.clone(),
+            grad: self.grad.clone(),
+            ncells: self.ncells,
+            sort_keys: self.sort_keys.clone(),
+            sorted_idx: self.sorted_idx.clone(),
+            sort_scratch: self.sort_scratch.clone(),
+            tree_child: self.tree_child.clone(),
+            tree_cell: self.tree_cell.clone(),
+            ctrl: self.ctrl.clone(),
+            cell_history: self.cell_history.clone(),
+        };
+        Some(Checkpoint::new(self.done, progress))
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
         // Mesh arrays change length as cells refine/coarsen; `clone_from`
         // truncates/extends in place, reusing each vector's allocation.
-        self.ci.clone_from(&pristine.ci);
-        self.cj.clone_from(&pristine.cj);
-        self.clevel.clone_from(&pristine.clevel);
-        self.h.clone_from(&pristine.h);
-        self.uvel.clone_from(&pristine.uvel);
-        self.vvel.clone_from(&pristine.vvel);
-        self.grad.clone_from(&pristine.grad);
-        self.ncells = pristine.ncells;
-        self.sort_keys.clone_from(&pristine.sort_keys);
-        self.sorted_idx.clone_from(&pristine.sorted_idx);
-        self.sort_scratch.clone_from(&pristine.sort_scratch);
-        self.tree_child.clone_from(&pristine.tree_child);
-        self.tree_cell.clone_from(&pristine.tree_cell);
-        self.dt = pristine.dt;
-        self.gravity = pristine.gravity;
-        self.damping = pristine.damping;
-        self.friction = pristine.friction;
-        self.refine_thresh = pristine.refine_thresh;
-        self.coarsen_thresh = pristine.coarsen_thresh;
-        self.ptr_state = 0;
+        self.ci.clone_from(&s.ci);
+        self.cj.clone_from(&s.cj);
+        self.clevel.clone_from(&s.clevel);
+        self.h.clone_from(&s.h);
+        self.uvel.clone_from(&s.uvel);
+        self.vvel.clone_from(&s.vvel);
+        self.grad.clone_from(&s.grad);
+        self.ncells = s.ncells;
+        self.sort_keys.clone_from(&s.sort_keys);
+        self.sorted_idx.clone_from(&s.sorted_idx);
+        self.sort_scratch.clone_from(&s.sort_scratch);
+        self.tree_child.clone_from(&s.tree_child);
+        self.tree_cell.clone_from(&s.tree_cell);
+        self.ctrl.clone_from(&s.ctrl);
+        self.cell_history.clone_from(&s.cell_history);
+        let pristine = Arc::clone(self.pristine());
+        [self.dt, self.gravity, self.damping, self.friction, self.refine_thresh, self.coarsen_thresh] = pristine.consts;
         self.raw = pristine.raw;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.done = 0;
-        self.cell_history.clear();
-        self.pristine = Some(pristine);
+        self.ptr_state = 0;
+        self.done = cp.step();
         true
+    }
+
+    fn matches(&self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        let pristine = self.pristine();
+        self.done == cp.step()
+            && self.ptr_state == 0
+            && self.ncells == s.ncells
+            && bits_eq(&self.consts(), &pristine.consts)
+            && bits_eq(&self.raw, &pristine.raw)
+            && fields_eq(&self.ctrl, &s.ctrl, Ctrl::bits)
+            && bits_eq(&self.ci, &s.ci)
+            && bits_eq(&self.cj, &s.cj)
+            && bits_eq(&self.clevel, &s.clevel)
+            && bits_eq(&self.h, &s.h)
+            && bits_eq(&self.uvel, &s.uvel)
+            && bits_eq(&self.vvel, &s.vvel)
+            && bits_eq(&self.grad, &s.grad)
+            && bits_eq(&self.sort_keys, &s.sort_keys)
+            && bits_eq(&self.sorted_idx, &s.sorted_idx)
+            && bits_eq(&self.sort_scratch, &s.sort_scratch)
+            && bits_eq(&self.tree_child, &s.tree_child)
+            && bits_eq(&self.tree_cell, &s.tree_cell)
+            && bits_eq(&self.cell_history, &s.cell_history)
     }
 }
 

@@ -16,10 +16,12 @@
 //! exhaust the fuel watchdog (timeout DUEs).
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
+use std::sync::Arc;
 
 /// DGEMM sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -79,6 +81,41 @@ struct Ctrl {
     aidx_scratch: u64,
 }
 
+impl Ctrl {
+    /// Every field's bit pattern, for bitwise state comparison.
+    fn bits(&self) -> [u64; 11] {
+        [
+            self.kb,
+            self.row_start,
+            self.row_end,
+            self.n_local,
+            self.block_local,
+            self.nb_local,
+            self.i_cur,
+            self.j_cur,
+            self.k_cur,
+            self.acc_scratch.to_bits(),
+            self.aidx_scratch,
+        ]
+    }
+}
+
+/// The state a fault-free run writes, saved at a step boundary. `ptr_a`
+/// stays 0 and the inputs `a`/`b` are never written.
+struct Progress {
+    c: Vec<f64>,
+    ctrl: Vec<Ctrl>,
+}
+
+/// The read-only inputs and the pre-run state, shared by a target and its
+/// clones: restores copy the inputs back from here, and `reset()` restores
+/// `start`.
+struct Pristine {
+    a: Vec<f64>,
+    b: Vec<f64>,
+    start: Checkpoint,
+}
+
 /// The DGEMM fault target.
 #[derive(Clone)]
 pub struct Dgemm {
@@ -92,12 +129,11 @@ pub struct Dgemm {
     ptr_a: u64,
     done: usize,
     total: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Dgemm>>,
-    /// Transposed k-panel of `b`, rebuilt from `b` every fast-path step so
-    /// injected corruption in `b` flows through identically. Harness
-    /// scratch: not injectable, not part of the pristine snapshot contract.
+    pristine: Arc<Pristine>,
+    /// Transposed k-panel of `b`, rebuilt from `b` every fast-path step
+    /// before it is read, so injected corruption in `b` flows through
+    /// identically. Harness scratch: not injectable, and dead at every step
+    /// boundary, so not part of the checkpointed state.
     bt: Vec<f64>,
 }
 
@@ -108,7 +144,7 @@ impl Dgemm {
         let a: Vec<f64> = (0..p.n * p.n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let b: Vec<f64> = (0..p.n * p.n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let nb = p.n.div_ceil(p.block);
-        let ctrl = (0..p.logical_threads)
+        let ctrl: Vec<Ctrl> = (0..p.logical_threads)
             .map(|t| {
                 let (s, e) = static_partition(p.n, p.logical_threads, t);
                 Ctrl {
@@ -126,9 +162,10 @@ impl Dgemm {
                 }
             })
             .collect();
-        let mut g = Dgemm { p, a, b, c: vec![0.0; p.n * p.n], ctrl, ptr_a: 0, done: 0, total: nb, pristine: None, bt: Vec::new() };
-        g.pristine = Some(Box::new(g.clone()));
-        g
+        let c = vec![0.0; p.n * p.n];
+        let start = Checkpoint::new(0, Progress { c: c.clone(), ctrl: ctrl.clone() });
+        let pristine = Arc::new(Pristine { a: a.clone(), b: b.clone(), start });
+        Dgemm { p, a, b, c, ctrl, ptr_a: 0, done: 0, total: nb, pristine, bt: Vec::new() }
     }
 
     /// True when every injectable byte that steers the panel loops still
@@ -363,15 +400,33 @@ impl FaultTarget for Dgemm {
     }
 
     fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.a.copy_from_slice(&pristine.a);
-        self.b.copy_from_slice(&pristine.b);
-        self.c.copy_from_slice(&pristine.c);
-        self.ctrl.copy_from_slice(&pristine.ctrl);
+        let pristine = Arc::clone(&self.pristine);
+        self.restore(&pristine.start)
+    }
+
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        Some(Checkpoint::new(self.done, Progress { c: self.c.clone(), ctrl: self.ctrl.clone() }))
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.a.clone_from(&self.pristine.a);
+        self.b.clone_from(&self.pristine.b);
+        self.c.clone_from(&s.c);
+        self.ctrl.clone_from(&s.ctrl);
         self.ptr_a = 0;
-        self.done = 0;
-        self.pristine = Some(pristine);
+        self.done = cp.step();
         true
+    }
+
+    fn matches(&self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.done == cp.step()
+            && self.ptr_a == 0
+            && fields_eq(&self.ctrl, &s.ctrl, Ctrl::bits)
+            && bits_eq(&self.c, &s.c)
+            && bits_eq(&self.a, &self.pristine.a)
+            && bits_eq(&self.b, &self.pristine.b)
     }
 }
 

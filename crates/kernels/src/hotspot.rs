@@ -18,10 +18,12 @@
 //! grid, rows statically partitioned over the logical threads.
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
+use std::sync::Arc;
 
 // Rodinia hotspot physical constants.
 const CHIP_HEIGHT: f32 = 0.016;
@@ -104,6 +106,52 @@ struct Consts {
     amb: f32,
 }
 
+impl Ctrl {
+    /// Every field's bit pattern, for bitwise state comparison.
+    fn bits(&self) -> [u64; 13] {
+        [
+            self.row_start,
+            self.row_end,
+            self.tid_local,
+            self.nthreads_local,
+            self.rows_local,
+            self.cols_local,
+            self.iter_local,
+            self.idx_scratch,
+            self.gr_scratch,
+            self.t_scratch.to_bits().into(),
+            self.top_scratch.to_bits().into(),
+            self.left_scratch.to_bits().into(),
+            self.delta_scratch.to_bits().into(),
+        ]
+    }
+}
+
+impl Consts {
+    fn bits(&self) -> [u32; 5] {
+        [self.step_div_cap, self.rx_1, self.ry_1, self.rz_1, self.amb].map(f32::to_bits)
+    }
+}
+
+/// The state a fault-free run writes, saved at a step boundary. The
+/// constants, the power map, the raw setup parameters and `ptr_temp` are
+/// never written.
+struct Progress {
+    t_src: Vec<f32>,
+    t_dst: Vec<f32>,
+    ctrl: Vec<Ctrl>,
+}
+
+/// The read-only inputs and the pre-run state, shared by a target and its
+/// clones: restores copy the inputs back from here, and `reset()` restores
+/// `start`.
+struct Pristine {
+    power: Vec<f32>,
+    consts: Consts,
+    raw: [f32; 6],
+    start: Checkpoint,
+}
+
 /// The HotSpot fault target.
 #[derive(Clone)]
 pub struct Hotspot {
@@ -120,9 +168,7 @@ pub struct Hotspot {
     /// masked, the dominant fate of HotSpot's constant-class injections.
     raw: [f32; 6],
     done: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Hotspot>>,
+    pristine: Arc<Pristine>,
 }
 
 impl Hotspot {
@@ -145,7 +191,7 @@ impl Hotspot {
         let step = PRECISION / max_slope;
 
         let consts = Consts { step_div_cap: step / cap, rx_1: 1.0 / rx, ry_1: 1.0 / ry, rz_1: 1.0 / rz, amb: AMB_TEMP };
-        let ctrl = (0..p.logical_threads)
+        let ctrl: Vec<Ctrl> = (0..p.logical_threads)
             .map(|t| {
                 let (s, e) = static_partition(p.rows, p.logical_threads, t);
                 Ctrl {
@@ -165,10 +211,10 @@ impl Hotspot {
                 }
             })
             .collect();
-        let mut h =
-            Hotspot { p, t_dst: t_src.clone(), t_src, power, consts, ctrl, ptr_temp: 0, raw: [rx, ry, rz, cap, step, max_slope], done: 0, pristine: None };
-        h.pristine = Some(Box::new(h.clone()));
-        h
+        let raw = [rx, ry, rz, cap, step, max_slope];
+        let start = Checkpoint::new(0, Progress { t_src: t_src.clone(), t_dst: t_src.clone(), ctrl: ctrl.clone() });
+        let pristine = Arc::new(Pristine { power: power.clone(), consts, raw, start });
+        Hotspot { p, t_dst: t_src.clone(), t_src, power, consts, ctrl, ptr_temp: 0, raw, done: 0, pristine }
     }
 
     /// Sequential reference implementation (one full run) for tests.
@@ -351,17 +397,38 @@ impl FaultTarget for Hotspot {
     }
 
     fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.t_src.copy_from_slice(&pristine.t_src);
-        self.t_dst.copy_from_slice(&pristine.t_dst);
-        self.power.copy_from_slice(&pristine.power);
-        self.consts = pristine.consts;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
+        let pristine = Arc::clone(&self.pristine);
+        self.restore(&pristine.start)
+    }
+
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        let progress = Progress { t_src: self.t_src.clone(), t_dst: self.t_dst.clone(), ctrl: self.ctrl.clone() };
+        Some(Checkpoint::new(self.done, progress))
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.t_src.clone_from(&s.t_src);
+        self.t_dst.clone_from(&s.t_dst);
+        self.ctrl.clone_from(&s.ctrl);
+        self.power.clone_from(&self.pristine.power);
+        self.consts = self.pristine.consts;
+        self.raw = self.pristine.raw;
         self.ptr_temp = 0;
-        self.raw = pristine.raw;
-        self.done = 0;
-        self.pristine = Some(pristine);
+        self.done = cp.step();
         true
+    }
+
+    fn matches(&self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.done == cp.step()
+            && self.ptr_temp == 0
+            && self.consts.bits() == self.pristine.consts.bits()
+            && bits_eq(&self.raw, &self.pristine.raw)
+            && fields_eq(&self.ctrl, &s.ctrl, Ctrl::bits)
+            && bits_eq(&self.t_src, &s.t_src)
+            && bits_eq(&self.t_dst, &s.t_dst)
+            && bits_eq(&self.power, &self.pristine.power)
     }
 }
 

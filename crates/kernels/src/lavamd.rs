@@ -21,10 +21,12 @@
 //! spatial error pattern.
 
 use crate::par::par_for_each;
+use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
+use std::sync::Arc;
 
 /// LavaMD sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -90,6 +92,51 @@ struct Ctrl {
     fz_copy: f32,
 }
 
+impl Ctrl {
+    /// Every field's bit pattern, for bitwise state comparison.
+    fn bits(&self) -> [u64; 16] {
+        let f = |v: f32| u64::from(v.to_bits());
+        [
+            self.box_id,
+            self.fire_step,
+            self.par_local,
+            self.nb_local,
+            self.j_scratch,
+            self.nbox_scratch,
+            f(self.d2_scratch),
+            f(self.w_scratch),
+            f(self.dx_scratch),
+            f(self.dy_scratch),
+            f(self.dz_scratch),
+            f(self.qj_scratch),
+            f(self.v_copy),
+            f(self.fx_copy),
+            f(self.fy_copy),
+            f(self.fz_copy),
+        ]
+    }
+}
+
+/// The state a fault-free run writes, saved at a step boundary. The
+/// particle inputs, the constants, the raw setup parameters and `ptr_rv`
+/// are never written.
+struct Progress {
+    fv: Vec<f32>,
+    ctrl: Vec<Ctrl>,
+}
+
+/// The read-only inputs and the pre-run state, shared by a target and its
+/// clones: restores copy the inputs back from here, and `reset()` restores
+/// `start`.
+struct Pristine {
+    rv: Vec<f32>,
+    qv: Vec<f32>,
+    a2: f32,
+    cut2: f32,
+    raw: [f32; 4],
+    start: Checkpoint,
+}
+
 /// The LavaMD fault target.
 #[derive(Clone)]
 pub struct Lavamd {
@@ -110,9 +157,7 @@ pub struct Lavamd {
     /// Raw setup parameters, dead after construction (masked targets).
     raw: [f32; 4],
     done: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Lavamd>>,
+    pristine: Arc<Pristine>,
 }
 
 impl Lavamd {
@@ -135,7 +180,7 @@ impl Lavamd {
             }
         }
         let qv: Vec<f32> = (0..n).map(|_| rng.gen_range(0.1..1.0)).collect();
-        let ctrl = (0..boxes)
+        let ctrl: Vec<Ctrl> = (0..boxes)
             .map(|b| Ctrl {
                 box_id: b as u64,
                 fire_step: (b * p.steps / boxes) as u64,
@@ -155,9 +200,11 @@ impl Lavamd {
                 fz_copy: 0.0,
             })
             .collect();
-        let mut l = Lavamd { p, rv, qv, fv: vec![0.0; n * 4], a2: A2_DEFAULT, cut2: CUT2_DEFAULT, ctrl, ptr_rv: 0, raw: [A2_DEFAULT.sqrt(), CUT2_DEFAULT.sqrt(), p.nb as f32, p.par_per_box as f32], done: 0, pristine: None };
-        l.pristine = Some(Box::new(l.clone()));
-        l
+        let raw = [A2_DEFAULT.sqrt(), CUT2_DEFAULT.sqrt(), p.nb as f32, p.par_per_box as f32];
+        let fv = vec![0.0; n * 4];
+        let start = Checkpoint::new(0, Progress { fv: fv.clone(), ctrl: ctrl.clone() });
+        let pristine = Arc::new(Pristine { rv: rv.clone(), qv: qv.clone(), a2: A2_DEFAULT, cut2: CUT2_DEFAULT, raw, start });
+        Lavamd { p, rv, qv, fv, a2: A2_DEFAULT, cut2: CUT2_DEFAULT, ctrl, ptr_rv: 0, raw, done: 0, pristine }
     }
 
     /// Sequential reference: potentials for every particle, brute force over
@@ -374,18 +421,40 @@ impl FaultTarget for Lavamd {
     }
 
     fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.rv.copy_from_slice(&pristine.rv);
-        self.qv.copy_from_slice(&pristine.qv);
-        self.fv.copy_from_slice(&pristine.fv);
-        self.a2 = pristine.a2;
-        self.cut2 = pristine.cut2;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
+        let pristine = Arc::clone(&self.pristine);
+        self.restore(&pristine.start)
+    }
+
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        Some(Checkpoint::new(self.done, Progress { fv: self.fv.clone(), ctrl: self.ctrl.clone() }))
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.fv.clone_from(&s.fv);
+        self.ctrl.clone_from(&s.ctrl);
+        self.rv.clone_from(&self.pristine.rv);
+        self.qv.clone_from(&self.pristine.qv);
+        self.a2 = self.pristine.a2;
+        self.cut2 = self.pristine.cut2;
+        self.raw = self.pristine.raw;
         self.ptr_rv = 0;
-        self.raw = pristine.raw;
-        self.done = 0;
-        self.pristine = Some(pristine);
+        self.done = cp.step();
         true
+    }
+
+    fn matches(&self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        let pristine = &self.pristine;
+        self.done == cp.step()
+            && self.ptr_rv == 0
+            && self.a2.to_bits() == pristine.a2.to_bits()
+            && self.cut2.to_bits() == pristine.cut2.to_bits()
+            && bits_eq(&self.raw, &pristine.raw)
+            && fields_eq(&self.ctrl, &s.ctrl, Ctrl::bits)
+            && bits_eq(&self.fv, &s.fv)
+            && bits_eq(&self.rv, &pristine.rv)
+            && bits_eq(&self.qv, &pristine.qv)
     }
 }
 

@@ -17,10 +17,12 @@
 //! (iterations left to spread it).
 
 use crate::par::{par_for_each, static_partition};
+use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
+use std::sync::Arc;
 
 /// LUD sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +73,32 @@ enum Phase {
     Internal,
 }
 
+impl Ctrl {
+    /// Every field's bit pattern, for bitwise state comparison.
+    fn bits(&self) -> [u64; 10] {
+        [
+            self.d_local,
+            self.n_local,
+            self.b_local,
+            self.nb_local,
+            self.col_cur,
+            self.acc_scratch.to_bits().into(),
+            self.l_scratch.to_bits().into(),
+            self.u_scratch.to_bits().into(),
+            self.row_scratch,
+            self.col_scratch,
+        ]
+    }
+}
+
+/// The state a fault-free run writes, saved at a step boundary (the matrix
+/// is factored in place); `ptr_m` stays 0.
+struct Progress {
+    a: Vec<f32>,
+    d: u64,
+    ctrl: Vec<Ctrl>,
+}
+
 /// The LUD fault target.
 #[derive(Clone)]
 pub struct Lud {
@@ -83,9 +111,8 @@ pub struct Lud {
     ctrl: Vec<Ctrl>,
     done: usize,
     total: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Lud>>,
+    /// The pre-run state `reset()` restores, shared with clones.
+    start: Arc<Checkpoint>,
 }
 
 impl Lud {
@@ -97,7 +124,7 @@ impl Lud {
         for i in 0..p.n {
             a[i * p.n + i] += p.n as f32; // diagonal dominance ⇒ pivot-free LU is stable
         }
-        let ctrl = (0..p.logical_threads)
+        let ctrl: Vec<Ctrl> = (0..p.logical_threads)
             .map(|_| Ctrl {
                 d_local: 0,
                 n_local: p.n as u64,
@@ -111,9 +138,8 @@ impl Lud {
                 col_scratch: 0,
             })
             .collect();
-        let mut l = Lud { p, a, d: 0, ptr_m: 0, ctrl, done: 0, total: 3 * nb, pristine: None };
-        l.pristine = Some(Box::new(l.clone()));
-        l
+        let start = Arc::new(Checkpoint::new(0, Progress { a: a.clone(), d: 0, ctrl: ctrl.clone() }));
+        Lud { p, a, d: 0, ptr_m: 0, ctrl, done: 0, total: 3 * nb, start }
     }
 
     /// Input matrix of a fresh instance (for verification tests).
@@ -350,14 +376,31 @@ impl FaultTarget for Lud {
     }
 
     fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.a.copy_from_slice(&pristine.a);
-        self.d = 0;
+        let start = Arc::clone(&self.start);
+        self.restore(&start)
+    }
+
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        Some(Checkpoint::new(self.done, Progress { a: self.a.clone(), d: self.d, ctrl: self.ctrl.clone() }))
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.a.clone_from(&s.a);
+        self.d = s.d;
+        self.ctrl.clone_from(&s.ctrl);
         self.ptr_m = 0;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.done = 0;
-        self.pristine = Some(pristine);
+        self.done = cp.step();
         true
+    }
+
+    fn matches(&self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.done == cp.step()
+            && self.ptr_m == 0
+            && self.d == s.d
+            && fields_eq(&self.ctrl, &s.ctrl, Ctrl::bits)
+            && bits_eq(&self.a, &s.a)
     }
 }
 

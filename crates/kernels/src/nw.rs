@@ -19,10 +19,12 @@
 //! NW is the paper's only integer benchmark.
 
 use crate::par::par_for_each;
+use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
 use rand::Rng;
+use std::sync::Arc;
 
 /// NW sizing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +78,44 @@ struct Ctrl {
     left_val: i64,
 }
 
+impl Ctrl {
+    /// Every field's bit pattern, for bitwise state comparison.
+    fn bits(&self) -> [u64; 10] {
+        [
+            self.diag_cur,
+            self.b_local,
+            self.n_local,
+            self.stride_local,
+            self.ti_scratch,
+            self.tj_scratch,
+            self.gi_scratch,
+            self.diag_val as u64,
+            self.up_val as u64,
+            self.left_val as u64,
+        ]
+    }
+}
+
+/// The state a fault-free run writes, saved at a step boundary. The
+/// substitution scores, the sequences, the penalty and both pointer bases
+/// are never written.
+struct Progress {
+    score: Vec<i32>,
+    path: Vec<i32>,
+    ctrl: Vec<Ctrl>,
+}
+
+/// The read-only inputs and the pre-run state, shared by a target and its
+/// clones: restores copy the inputs back from here, and `reset()` restores
+/// `start`.
+struct Pristine {
+    refm: Vec<i32>,
+    penalty: i32,
+    seq1: Vec<i32>,
+    seq2: Vec<i32>,
+    start: Checkpoint,
+}
+
 /// The NW fault target.
 #[derive(Clone)]
 pub struct Nw {
@@ -104,9 +144,7 @@ pub struct Nw {
     ctrl: Vec<Ctrl>,
     done: usize,
     total: usize,
-    /// Pristine pre-run snapshot taken at the end of `new()` (its own
-    /// `pristine` is `None`); `reset()` restores from it in place.
-    pristine: Option<Box<Nw>>,
+    pristine: Arc<Pristine>,
 }
 
 /// Deterministic BLOSUM-like substitution matrix: positive diagonal,
@@ -144,7 +182,7 @@ impl Nw {
             score[i] = -(i as i32) * PENALTY;
         }
         let bb = p.bb();
-        let ctrl = (0..bb)
+        let ctrl: Vec<Ctrl> = (0..bb)
             .map(|_| Ctrl {
                 diag_cur: 0,
                 b_local: p.block as u64,
@@ -159,9 +197,11 @@ impl Nw {
             })
             .collect();
         // 2·bb − 1 wavefront steps + 1 traceback step.
-        let mut nw = Nw { p, refm, score, penalty: PENALTY, seq1, seq2, path: vec![-1; (2 * p.n + 1) * 3], ptr_score: 0, ptr_ref: 0, ctrl, done: 0, total: 2 * bb - 1 + 1, pristine: None };
-        nw.pristine = Some(Box::new(nw.clone()));
-        nw
+        let path = vec![-1; (2 * p.n + 1) * 3];
+        let start = Checkpoint::new(0, Progress { score: score.clone(), path: path.clone(), ctrl: ctrl.clone() });
+        let pristine =
+            Arc::new(Pristine { refm: refm.clone(), penalty: PENALTY, seq1: seq1.clone(), seq2: seq2.clone(), start });
+        Nw { p, refm, score, penalty: PENALTY, seq1, seq2, path, ptr_score: 0, ptr_ref: 0, ctrl, done: 0, total: 2 * bb - 1 + 1, pristine }
     }
 
     /// Sequential reference DP fill for correctness tests.
@@ -410,19 +450,43 @@ impl FaultTarget for Nw {
     }
 
     fn reset(&mut self) -> bool {
-        let Some(pristine) = self.pristine.take() else { return false };
-        self.refm.copy_from_slice(&pristine.refm);
-        self.score.copy_from_slice(&pristine.score);
-        self.penalty = pristine.penalty;
-        self.seq1.copy_from_slice(&pristine.seq1);
-        self.seq2.copy_from_slice(&pristine.seq2);
-        self.path.copy_from_slice(&pristine.path);
+        let pristine = Arc::clone(&self.pristine);
+        self.restore(&pristine.start)
+    }
+
+    fn checkpoint(&self) -> Option<Checkpoint> {
+        let progress = Progress { score: self.score.clone(), path: self.path.clone(), ctrl: self.ctrl.clone() };
+        Some(Checkpoint::new(self.done, progress))
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        self.score.clone_from(&s.score);
+        self.path.clone_from(&s.path);
+        self.ctrl.clone_from(&s.ctrl);
+        self.refm.clone_from(&self.pristine.refm);
+        self.penalty = self.pristine.penalty;
+        self.seq1.clone_from(&self.pristine.seq1);
+        self.seq2.clone_from(&self.pristine.seq2);
         self.ptr_score = 0;
         self.ptr_ref = 0;
-        self.ctrl.copy_from_slice(&pristine.ctrl);
-        self.done = 0;
-        self.pristine = Some(pristine);
+        self.done = cp.step();
         true
+    }
+
+    fn matches(&self, cp: &Checkpoint) -> bool {
+        let Some(s) = cp.state::<Progress>() else { return false };
+        let pristine = &self.pristine;
+        self.done == cp.step()
+            && self.ptr_score == 0
+            && self.ptr_ref == 0
+            && self.penalty == pristine.penalty
+            && fields_eq(&self.ctrl, &s.ctrl, Ctrl::bits)
+            && bits_eq(&self.score, &s.score)
+            && bits_eq(&self.path, &s.path)
+            && bits_eq(&self.refm, &pristine.refm)
+            && bits_eq(&self.seq1, &pristine.seq1)
+            && bits_eq(&self.seq2, &pristine.seq2)
     }
 }
 

@@ -109,6 +109,7 @@ pub fn golden(bench: Benchmark, size: SizeClass) -> Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carolfi::checkpoint::Timeline;
 
     #[test]
     fn all_benchmarks_build_and_run_at_test_size() {
@@ -170,6 +171,37 @@ mod tests {
             assert!(t.reset(), "{b} must support in-place reset");
             while t.step() == StepOutcome::Continue {}
             assert!(t.output().bits_equal(&g), "{b}: post-reset rerun must be bit-identical to the golden run");
+
+            // `reset()` is "restore checkpoint 0"; every other checkpoint of
+            // the golden timeline must restore just as exactly, from any
+            // corrupted state, and `matches` must see the difference between
+            // a restored target and a corrupted one.
+            let timeline = Timeline::record(&mut build(b, SizeClass::Test), &g);
+            assert!(timeline.len() > 1, "{b}: the golden timeline is empty");
+            for cp in timeline.points() {
+                for v in t.variables() {
+                    if let Some(byte) = v.bytes.first_mut() {
+                        *byte ^= 0x55;
+                    }
+                }
+                assert!(t.restore(cp), "{b} must restore its own checkpoints");
+                assert_eq!(t.steps_executed(), cp.step(), "{b}");
+                assert!(t.matches(cp), "{b}: a restored target must match its checkpoint");
+                while t.step() == StepOutcome::Continue {}
+                assert!(t.output().bits_equal(&g), "{b}: rerun from step {} must be bit-identical", cp.step());
+            }
+            // A change to any one injectable variable breaks the match.
+            let cp = &timeline.points()[timeline.len() / 2];
+            let n_vars = t.variables().len();
+            for i in 0..n_vars {
+                assert!(t.restore(cp));
+                let name = {
+                    let mut vars = t.variables();
+                    vars[i].bytes[0] ^= 0x55;
+                    vars[i].info.name
+                };
+                assert!(!t.matches(cp), "{b}: corrupted `{name}` still matched the step-{} checkpoint", cp.step());
+            }
         }
     }
 

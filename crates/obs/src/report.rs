@@ -33,6 +33,12 @@ pub struct CampaignReport {
     /// Trials classified by the chunked bitwise compare alone, without an
     /// elementwise mismatch scan.
     pub fast_path_compares: u64,
+    /// Fault-free prefix steps trials skipped by forking from a golden
+    /// checkpoint instead of replaying from step 0.
+    pub forked_steps: u64,
+    /// Trials stopped early, Masked, because their state re-converged to a
+    /// golden checkpoint.
+    pub converged: u64,
     /// Strata the adaptive planner tracked; 0 for fixed-count campaigns
     /// (which hides the planner gauges from `Display`).
     pub strata_total: usize,
@@ -107,6 +113,11 @@ impl fmt::Display for CampaignReport {
         if self.fast_path_compares > 0 {
             let pct = if self.trials > 0 { 100.0 * self.fast_path_compares as f64 / self.trials as f64 } else { 0.0 };
             writeln!(f, "  fast-path cmp   {:>10}  ({:>5.1}% of trials)", self.fast_path_compares, pct)?;
+        }
+        if self.forked_steps + self.converged > 0 {
+            let pct = if self.trials > 0 { 100.0 * self.converged as f64 / self.trials as f64 } else { 0.0 };
+            writeln!(f, "  forked steps    {:>10}", self.forked_steps)?;
+            writeln!(f, "  converged       {:>10}  ({:>5.1}% of trials)", self.converged, pct)?;
         }
         if self.strata_total > 0 {
             writeln!(

@@ -540,6 +540,38 @@ impl JournalWriter {
     }
 }
 
+/// Lines of one kind appended to a [`JournalWriter`] that its group-commit
+/// buffer may still hold. Counters that must report what is durable — what
+/// a crash right now would leave in the journal — count lines when
+/// [`CommitCounter::settle`] retires them, never at `append`.
+#[derive(Debug, Default)]
+pub struct CommitCounter {
+    uncommitted: u64,
+}
+
+impl CommitCounter {
+    /// Notes one more line of this kind appended to the writer.
+    pub fn appended(&mut self) {
+        self.uncommitted += 1;
+    }
+
+    /// Lines noted by [`CommitCounter::appended`] and not yet settled.
+    pub fn uncommitted(&self) -> u64 {
+        self.uncommitted
+    }
+
+    /// Retires the lines `writer` has committed since the last call and
+    /// returns how many. The buffer is FIFO, so every buffered line is newer
+    /// than every committed one: while lines of other kinds share the
+    /// buffer the count can come out low, never high. Call it after every
+    /// append and after anything that forces the buffer down (`sync`).
+    pub fn settle(&mut self, writer: &JournalWriter) -> u64 {
+        let committed = self.uncommitted.saturating_sub(writer.buffered_lines() as u64);
+        self.uncommitted -= committed;
+        committed
+    }
+}
+
 impl Drop for JournalWriter {
     fn drop(&mut self) {
         // Last-ditch commit for writers dropped during unwinding (e.g. a

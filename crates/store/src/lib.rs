@@ -32,8 +32,8 @@ pub mod queue;
 pub mod shard;
 
 pub use journal::{
-    decode_record, encode_record, is_transient, retry_transient, transient_backoff, BatchPolicy, CampaignMeta, Journal,
-    JournalEntry, JournalScan, JournalWriter, ShardCursor, ADAPTIVE_FORMAT_VERSION, MAX_TRANSIENT_RETRIES,
+    decode_record, encode_record, is_transient, retry_transient, transient_backoff, BatchPolicy, CampaignMeta, CommitCounter,
+    Journal, JournalEntry, JournalScan, JournalWriter, ShardCursor, ADAPTIVE_FORMAT_VERSION, MAX_TRANSIENT_RETRIES,
 };
 pub use ledger::{LeaseState, LedgerEntry, LedgerScan, LedgerWriter, LEDGER_FILE};
 pub use merge::{Importer, Offer};

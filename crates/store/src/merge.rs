@@ -25,7 +25,7 @@
 //! guard paths apply unchanged, which is what pins a distributed aggregate
 //! byte-identical to the single-host run.
 
-use crate::journal::{JournalEntry, JournalWriter};
+use crate::journal::{CommitCounter, JournalEntry, JournalWriter};
 use crate::shard::{ShardPlan, ShardProgress};
 
 /// Verdict of offering one trial to the merge.
@@ -48,7 +48,7 @@ pub struct Importer {
     /// Fresh trials the journal has committed.
     pub accepted: u64,
     /// Fresh trials still in the writer's group-commit buffer.
-    pending: u64,
+    pending: CommitCounter,
     pub duplicates: u64,
 }
 
@@ -61,7 +61,7 @@ impl Importer {
     pub fn new(plan: &ShardPlan, progress: &ShardProgress) -> Self {
         let next: Vec<u64> = progress.shards.iter().map(|s| s.completed).collect();
         let caps: Vec<u64> = (0..plan.shards).map(|s| plan.range(s).len() as u64).collect();
-        Importer { next, caps, accepted: 0, pending: 0, duplicates: 0 }
+        Importer { next, caps, accepted: 0, pending: CommitCounter::default(), duplicates: 0 }
     }
 
     /// Next sequence number the merge will accept for `shard` — the resume
@@ -78,7 +78,7 @@ impl Importer {
 
     /// Fresh trials offered but not yet committed by the journal.
     pub fn pending(&self) -> u64 {
-        self.pending
+        self.pending.uncommitted()
     }
 
     /// Counts the pending trials `writer` has committed since the last
@@ -87,9 +87,8 @@ impl Importer {
     /// be pending, so any other buffered line makes this count low, never
     /// high.
     pub fn settle(&mut self, writer: &JournalWriter) {
-        let committed = self.pending.saturating_sub(writer.buffered_lines() as u64);
+        let committed = self.pending.settle(writer);
         if committed > 0 {
-            self.pending -= committed;
             self.accepted += committed;
             obs::incr("dist/merged_trials", committed);
         }
@@ -116,7 +115,7 @@ impl Importer {
         }
         writer.append(&JournalEntry::Trial { shard, seq, payload: payload.to_string() })?;
         self.next[shard] += 1;
-        self.pending += 1;
+        self.pending.appended();
         self.settle(writer);
         Ok(Offer::Accepted)
     }

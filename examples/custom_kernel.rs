@@ -8,6 +8,13 @@
 //! The victim here is a small Jacobi solver for `A·x = b`. Its state surface
 //! exposes the matrix, the two iterate buffers and a per-sweep control
 //! block, exactly like the bundled Rodinia ports.
+//!
+//! Everything past the required methods is optional. `reset` lets campaign
+//! runners pool one target per worker instead of rebuilding it per trial;
+//! `checkpoint`, `restore` and `matches` let each trial fork from a golden
+//! checkpoint and stop once its state re-converges (see
+//! `carolfi::checkpoint`). This solver implements none of them, so every
+//! trial runs from step 0 to the end — slower, but with the same records.
 
 use phi_reliability::carolfi::fuel::Fuel;
 use phi_reliability::carolfi::output::Output;

@@ -332,6 +332,20 @@ macro_rules! prop_assert_eq {
             )));
         }
     }};
+    ($left:expr, $right:expr, $($fmt:tt)+) => {{
+        let __left = $left;
+        let __right = $right;
+        if __left != __right {
+            return ::core::result::Result::Err($crate::TestCaseError::fail(::std::format!(
+                "assertion failed: {} == {}: {}\n  left: {:?}\n right: {:?}",
+                stringify!($left),
+                stringify!($right),
+                ::std::format!($($fmt)+),
+                __left,
+                __right
+            )));
+        }
+    }};
 }
 
 #[macro_export]
