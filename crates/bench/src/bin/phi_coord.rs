@@ -274,13 +274,14 @@ fn run_executor_mode(a: &Args) -> ! {
         let total_steps = probe.total_steps().max(1);
         let timeline = carolfi::Timeline::record(&mut probe, &g);
         pool.release(probe, false);
+        let mut buf = Vec::new();
         move |global: u64| {
             let mut target = pool.acquire();
             let golden = carolfi::Golden::new(&g, &timeline);
             let (record, _) =
                 carolfi::campaign::execute_trial(label, &mut target, golden, &ccfg, total_steps, global as usize);
             pool.release(target, record.outcome.is_due());
-            serde_json::to_string(&record).expect("trial records serialize")
+            carolfi::record::encode_payload(&mut buf, &record).expect("trial records serialize")
         }
     })
     .unwrap_or_else(|e| fatal(format!("{e}")));

@@ -35,7 +35,7 @@ use carolfi::{run_campaign_adaptive, run_campaign_isolated, run_campaign_stored,
 use kernels::{build, golden, Benchmark, SizeClass};
 use sdc_analysis::planner::{CiMethod, WilsonPlanner, DEFAULT_BATCH};
 use sdc_analysis::pvf::{by_model, PvfKind};
-use serde::__private::{as_map, field, field_content, to_content, Content, ContentError, FromContent};
+use serde::__private::{as_map, deserialize_via_content, field, field_content, Content, Error as ContentError, FromContent};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -86,8 +86,7 @@ impl FromContent for CampaignKind {
 
 impl<'de> Deserialize<'de> for CampaignKind {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        CampaignKind::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
+        deserialize_via_content(d)
     }
 }
 
@@ -111,8 +110,8 @@ pub struct PlanSpec {
     pub method: CiMethod,
 }
 
-impl Serialize for PlanSpec {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+impl PlanSpec {
+    fn to_content(&self) -> Content {
         let mut m = vec![
             ("ci".to_string(), Content::F64(self.ci)),
             ("batch".to_string(), Content::U64(self.batch as u64)),
@@ -120,7 +119,13 @@ impl Serialize for PlanSpec {
         if self.method != CiMethod::Wilson {
             m.push(("method".to_string(), Content::Str(self.method.label().to_string())));
         }
-        s.serialize_content(Content::Map(m))
+        Content::Map(m)
+    }
+}
+
+impl Serialize for PlanSpec {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_content(self.to_content())
     }
 }
 
@@ -146,8 +151,7 @@ impl FromContent for PlanSpec {
 
 impl<'de> Deserialize<'de> for PlanSpec {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        PlanSpec::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
+        deserialize_via_content(d)
     }
 }
 
@@ -193,9 +197,8 @@ impl Serialize for CampaignSpec {
         // Hand-rolled so the version-1 byte layout is preserved exactly:
         // the original field order, no `version` key for v1, and `plan`
         // only when present.
-        let err = <S::Error as serde::ser::Error>::custom;
         let mut m: Vec<(String, Content)> = Vec::with_capacity(11);
-        m.push(("kind".into(), to_content(&self.kind).map_err(err)?));
+        m.push(("kind".into(), Content::Str(self.kind.label().to_string())));
         if self.version != 1 {
             m.push(("version".into(), Content::U64(self.version as u64)));
         }
@@ -205,10 +208,10 @@ impl Serialize for CampaignSpec {
         m.push(("size".into(), Content::Str(self.size.clone())));
         m.push(("shards".into(), Content::U64(self.shards as u64)));
         m.push(("isolate".into(), Content::Bool(self.isolate)));
-        m.push(("models".into(), to_content(&self.models).map_err(err)?));
+        m.push(("models".into(), Content::Seq(self.models.iter().cloned().map(Content::Str).collect())));
         m.push(("tolerance".into(), Content::F64(self.tolerance)));
         if let Some(plan) = &self.plan {
-            m.push(("plan".into(), to_content(plan).map_err(err)?));
+            m.push(("plan".into(), plan.to_content()));
         }
         s.serialize_content(Content::Map(m))
     }
@@ -247,8 +250,7 @@ impl FromContent for CampaignSpec {
 
 impl<'de> Deserialize<'de> for CampaignSpec {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        CampaignSpec::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
+        deserialize_via_content(d)
     }
 }
 
@@ -581,7 +583,7 @@ pub fn spec_result(
             }
             carolfi::record::OutcomeRecord::Due(_) => due += 1,
         }
-        bytes.extend_from_slice(serde_json::to_string(r).expect("trial records serialize").as_bytes());
+        serde_json::to_writer(&mut bytes, r).expect("trial records serialize");
         bytes.push(b'\n');
     }
     let (sdc_pvf_row, due_pvf_row) = if kind == CampaignKind::Inject {

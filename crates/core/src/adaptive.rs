@@ -268,6 +268,7 @@ where
     } else {
         let mut executed = records.len();
         let mut spent = 0usize;
+        let mut buf = Vec::new();
         loop {
             let (decision, done_in_batch) = match pending.take() {
                 // An in-flight journaled batch is finished unconditionally
@@ -368,11 +369,10 @@ where
             for (k, slot) in slots.into_iter().enumerate() {
                 match slot.into_inner().expect("batch slot missing") {
                     Ok(record) => {
-                        let payload = serde_json::to_string(&record)
+                        let payload = crate::record::encode_payload(&mut buf, &record)
                             .map_err(|e| std::io::Error::other(format!("trial {}: serialize failed: {e}", record.trial)))?;
-                        store::retry_transient(|| {
-                            writer.append(&JournalEntry::Trial { shard: 0, seq: executed as u64, payload: payload.clone() })
-                        })?;
+                        let entry = JournalEntry::Trial { shard: 0, seq: executed as u64, payload };
+                        store::retry_transient(|| writer.append(&entry))?;
                         crate::monitor::tick(0);
                         planner.observe(&record);
                         records.push(record);

@@ -277,6 +277,7 @@ pub fn drive_shards(
             })
         };
         let mut completed = start;
+        let mut buf = Vec::new();
         for (seq, trial) in range.clone().enumerate().skip(start) {
             let out_of_budget = store_cfg.budget.is_some_and(|b| spent.fetch_add(1, Ordering::SeqCst) >= b);
             if stop.should_stop() || out_of_budget {
@@ -310,16 +311,15 @@ pub fn drive_shards(
                 }
             };
             busy_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let payload = match serde_json::to_string(&record) {
+            let payload = match crate::record::encode_payload(&mut buf, &record) {
                 Ok(p) => p,
                 Err(e) => {
                     fail(std::io::Error::other(format!("trial {trial}: serialize failed: {e}")));
                     return;
                 }
             };
-            if let Err(e) = store::retry_transient(|| {
-                journal.lock().append(&JournalEntry::Trial { shard, seq: seq as u64, payload: payload.clone() })
-            }) {
+            let entry = JournalEntry::Trial { shard, seq: seq as u64, payload };
+            if let Err(e) = store::retry_transient(|| journal.lock().append(&entry)) {
                 fail(e);
                 return;
             }

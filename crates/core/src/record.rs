@@ -177,7 +177,7 @@ impl Serialize for DueKind {
 }
 
 impl serde::__private::FromContent for DueKind {
-    fn from_content(c: &serde::__private::Content) -> Result<Self, serde::__private::ContentError> {
+    fn from_content(c: &serde::__private::Content) -> Result<Self, serde::__private::Error> {
         use serde::__private::{as_map, enum_parts, field, variant_inner};
         let (tag, inner) = enum_parts(c)?;
         match tag {
@@ -198,8 +198,7 @@ impl serde::__private::FromContent for DueKind {
 
 impl<'de> Deserialize<'de> for DueKind {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let c = d.content()?;
-        <DueKind as serde::__private::FromContent>::from_content(&c).map_err(<D::Error as serde::de::Error>::custom)
+        serde::__private::deserialize_via_content(d)
     }
 }
 
@@ -287,6 +286,15 @@ impl TrialRecord {
             decl: d.decl.clone(),
         })
     }
+}
+
+/// Serializes `record` as a journal payload. `buf` is scratch space the
+/// caller keeps across calls, so a loop encoding record after record
+/// writes into one grown buffer instead of regrowing a new one each time.
+pub fn encode_payload(buf: &mut Vec<u8>, record: &TrialRecord) -> std::io::Result<String> {
+    buf.clear();
+    serde_json::to_writer(buf, record).map_err(std::io::Error::other)?;
+    std::str::from_utf8(buf).map(str::to_owned).map_err(std::io::Error::other)
 }
 
 /// Writes records as JSON lines (the public-repository log format).

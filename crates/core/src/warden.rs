@@ -184,13 +184,14 @@ fn other(msg: impl Into<String>) -> std::io::Error {
 /// would send two TCP segments, and with Nagle on the body would wait for
 /// the peer's delayed ACK of the first.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let json = serde_json::to_string(msg).map_err(std::io::Error::other)?;
-    if json.len() > MAX_FRAME {
-        return Err(other(format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", json.len())));
+    // The JSON is written after a placeholder for its length.
+    let mut frame = vec![0u8; 4];
+    serde_json::to_writer(&mut frame, msg).map_err(std::io::Error::other)?;
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(other(format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap")));
     }
-    let mut frame = Vec::with_capacity(4 + json.len());
-    frame.extend_from_slice(&(json.len() as u32).to_le_bytes());
-    frame.extend_from_slice(json.as_bytes());
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -716,6 +717,7 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
     };
 
     let mut last_metrics = Instant::now();
+    let mut buf = Vec::new();
     let result = loop {
         let request: Request = match read_frame_blocking(&mut reader) {
             Ok(r) => r,
@@ -728,7 +730,7 @@ pub fn serve(mut run_one: impl FnMut(usize, u32) -> TrialRecord) -> std::io::Res
                 current.store(trial, Ordering::Relaxed);
                 let record = run_one(trial as usize, attempt);
                 current.store(u64::MAX, Ordering::Relaxed);
-                let payload = match serde_json::to_string(&record) {
+                let payload = match crate::record::encode_payload(&mut buf, &record) {
                     Ok(p) => p,
                     Err(e) => break Err(other(format!("serialize record for trial {trial}: {e}"))),
                 };

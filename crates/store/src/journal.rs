@@ -7,11 +7,23 @@
 //! <crc32-hex8> <entry-json>\n
 //! ```
 //!
-//! where the checksum covers the JSON bytes. Appends go to the newest
-//! segment only. Under the default group-commit policy ([`BatchPolicy`])
-//! encoded lines accumulate in a writer-side buffer and reach the OS as one
-//! `write()` when the batch fills, ages out, or a checkpoint/sync forces it
-//! down; with batching disabled every line is written through individually.
+//! where the checksum covers the JSON bytes. A `Trial` entry carries its
+//! record as a JSON string (`payload`), so the record's JSON appears
+//! escaped inside the entry's JSON.
+//!
+//! The codec is one pass each way. [`encode_record_into`] writes a
+//! placeholder for the checksum, serializes the entry straight after it
+//! into the same buffer (for appends, the writer's batch buffer), then
+//! fills the checksum in — computed slicing-by-8 ([`crate::crc32`]). On the
+//! read side each line is checksummed and parsed once, directly into a
+//! [`JournalEntry`]; a `Trial` payload is unescaped into its `String` in a
+//! single copy, and callers parse the record out of that.
+//!
+//! Appends go to the newest segment only. Under the default group-commit
+//! policy ([`BatchPolicy`]) encoded lines accumulate in a writer-side
+//! buffer and reach the OS as one `write()` when the batch fills, ages
+//! out, or a checkpoint/sync forces it down; with batching disabled every
+//! line is written through individually.
 //! Either way the *byte stream* is identical — batching changes only the
 //! write boundaries — and loss on a crash is a strict suffix of whole
 //! records plus at most one torn line. [`Journal::scan`] validates every
@@ -203,12 +215,28 @@ fn corrupt(msg: String) -> std::io::Error {
 /// (`<crc32-hex8> <json>\n`). The codec shared by the campaign journal and
 /// the distributed coordinator's write-ahead ledger.
 pub fn encode_record<T: Serialize>(record: &T) -> std::io::Result<Vec<u8>> {
-    let json = serde_json::to_string(record).map_err(std::io::Error::other)?;
-    let mut line = Vec::with_capacity(json.len() + 10);
-    line.extend_from_slice(format!("{:08x} ", crc32(json.as_bytes())).as_bytes());
-    line.extend_from_slice(json.as_bytes());
-    line.push(b'\n');
+    let mut line = Vec::new();
+    encode_record_into(&mut line, record)?;
     Ok(line)
+}
+
+/// Appends the line [`encode_record`] would return to `out`, in place: the
+/// JSON is written after a placeholder for the checksum, which is then
+/// filled in. On error `out` is left as it was.
+pub fn encode_record_into<T: Serialize>(out: &mut Vec<u8>, record: &T) -> std::io::Result<()> {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let start = out.len();
+    out.extend_from_slice(b"00000000 ");
+    if let Err(e) = serde_json::to_writer(out, record) {
+        out.truncate(start);
+        return Err(std::io::Error::other(e));
+    }
+    let crc = crc32(&out[start + 9..]);
+    for (i, digit) in out[start..start + 8].iter_mut().enumerate() {
+        *digit = HEX[((crc >> (28 - 4 * i)) & 0xF) as usize];
+    }
+    out.push(b'\n');
+    Ok(())
 }
 
 /// Decodes one checksummed line (without its trailing `\n`). `None` =
@@ -223,11 +251,6 @@ pub fn decode_record<T: for<'de> Deserialize<'de>>(line: &[u8]) -> Option<T> {
         return None;
     }
     serde_json::from_str(std::str::from_utf8(json).ok()?).ok()
-}
-
-/// Encodes one entry as a checksummed line.
-fn encode_line(entry: &JournalEntry) -> std::io::Result<Vec<u8>> {
-    encode_record(entry)
 }
 
 /// Decodes one line (without its trailing `\n`). `None` = torn/invalid.
@@ -469,8 +492,10 @@ impl JournalWriter {
             self.segment_bytes = 0;
             obs::incr("store/segments", 1);
         }
-        let line = encode_line(entry)?;
-        self.segment_bytes += line.len() as u64;
+        // Encode straight into the batch buffer.
+        let start = self.buf.len();
+        encode_record_into(&mut self.buf, entry)?;
+        self.segment_bytes += (self.buf.len() - start) as u64;
         obs::incr("store/appends", 1);
         if matches!(entry, JournalEntry::Checkpoint(_)) {
             obs::incr("store/checkpoints", 1);
@@ -479,6 +504,7 @@ impl JournalWriter {
             // Lines buffered under an earlier policy (e.g. the Meta entry
             // `create` writes before the caller overrides `batch`) must
             // land first — append order is the byte order.
+            let line = self.buf.split_off(start);
             self.flush_batch()?;
             // Transient kernel refusals retry in place instead of failing
             // the shard. `write_all` resumes partial EINTR writes
@@ -489,7 +515,6 @@ impl JournalWriter {
             retry_transient(|| self.file.flush())?;
             return Ok(());
         }
-        self.buf.extend_from_slice(&line);
         self.buf_lines += 1;
         let oldest = *self.buf_oldest.get_or_insert_with(std::time::Instant::now);
         if self.buf.len() >= self.batch.max_bytes || oldest.elapsed() >= self.batch.max_delay {

@@ -40,27 +40,57 @@ pub use merge::{Importer, Offer};
 pub use queue::{run_tasks, StopFlag};
 pub use shard::{ShardPlan, ShardProgress, ShardState};
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the per-line checksum of
-/// the journal format. Table-driven; the table is built at compile time.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// Lookup tables for slicing-by-8 CRC-32: `CRC_TABLES[0]` is the classic
+/// bytewise table of the reflected IEEE polynomial, and `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight table reads
+/// fold eight input bytes at once. Built at compile time.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
         }
-        table
-    };
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the per-line checksum of
+/// the journal format. Slicing-by-8: eight bytes per step, then the tail
+/// bytewise.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -68,6 +98,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::crc32;
+    use proptest::prelude::*;
+
+    /// The plain bytewise table-driven CRC-32, kept as the oracle for the
+    /// sliced one.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = super::CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -75,6 +116,9 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        for v in [&b"123456789"[..], b"", b"The quick brown fox jumps over the lazy dog"] {
+            assert_eq!(crc32_bytewise(v), crc32(v));
+        }
     }
 
     #[test]
@@ -85,6 +129,18 @@ mod tests {
             let mut flipped = base.clone();
             flipped[i / 8] ^= 1 << (i % 8);
             assert_ne!(crc32(&flipped), reference, "flip at bit {i} undetected");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_crc32_equals_the_bytewise_oracle(
+            bytes in prop::collection::vec(any::<u8>(), 0..4104),
+            offset in 0usize..8,
+        ) {
+            // Every length 0..=4096 at every alignment within a word.
+            let slice = &bytes[offset.min(bytes.len())..];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
         }
     }
 }

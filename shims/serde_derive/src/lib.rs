@@ -2,19 +2,27 @@
 //!
 //! The build container has no crates.io access (so no `syn`/`quote` either);
 //! this macro parses the item declaration directly from the
-//! [`proc_macro::TokenStream`] and emits impls against the shim `serde`'s
-//! JSON-shaped `Content` data model:
+//! [`proc_macro::TokenStream`] and emits impls that talk JSON to the shim
+//! `serde`'s writer and parser in one pass, with no intermediate tree:
 //!
-//! * `Serialize` — builds a `serde::__private::Content` tree and hands it to
-//!   the serializer's `serialize_content`;
-//! * `Deserialize` — implements `serde::__private::FromContent` (the
-//!   workhorse used for nested fields) plus a bridging `Deserialize` impl.
+//! * `Serialize` writes the value straight into the serializer's
+//!   `serde::__private::Writer`. Keys, braces, commas and unit-variant tags
+//!   are known at expansion time, so each run of them is one string literal
+//!   (`{"trial":`, `,"benchmark":`, `}}`); fields go through their own
+//!   `Serialize` impls into the same buffer.
+//! * `Deserialize` reads from the deserializer's `serde::__private::Parser`.
+//!   A struct matches each key (a slice of the input) against its field
+//!   names, decodes the value into that field's slot, and skips unknown
+//!   keys; fields may come in any order, a repeated key keeps its first
+//!   value, and every field is required. An enum reads its tag, then the
+//!   payload of that variant only.
 //!
 //! Supported shapes are exactly what this workspace derives on: structs with
-//! named fields, newtype/tuple structs, unit/newtype/tuple/struct-variant
+//! named fields, newtype structs (transparent), unit/newtype/struct-variant
 //! enums (externally tagged), `#[serde(with = "path")]` on named fields, and
-//! `#[serde(untagged)]` on all-newtype enums (Deserialize only). Const
-//! generics are carried through; anything unsupported fails with a
+//! `#[serde(untagged)]` on all-newtype enums (Deserialize only; it parses the
+//! value into a `Content` tree and tries each variant's `FromContent`).
+//! Const generics are carried through; anything unsupported fails with a
 //! `compile_error!` naming the construct.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
@@ -36,8 +44,8 @@ struct Input {
 enum Kind {
     /// Struct with named fields.
     Struct(Vec<Field>),
-    /// Tuple struct with the given arity.
-    Tuple(usize),
+    /// One-field tuple struct, transparent on the wire.
+    Newtype,
     Enum(Vec<Variant>),
 }
 
@@ -54,7 +62,7 @@ struct Variant {
 
 enum Shape {
     Unit,
-    Tuple(usize),
+    Newtype,
     Struct(Vec<Field>),
 }
 
@@ -156,13 +164,13 @@ fn parse_named_fields(group: &proc_macro::Group) -> Result<Vec<Field>, String> {
     Ok(fields)
 }
 
-/// Arity of a tuple struct/variant paren group.
-fn tuple_arity(group: &proc_macro::Group) -> usize {
+/// Checks that a tuple struct/variant paren group holds exactly one field.
+fn newtype(group: &proc_macro::Group, name: &str) -> Result<(), String> {
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
+    match split_top_level_commas(&tokens).len() {
+        1 => Ok(()),
+        n => Err(format!("{name}: tuple shapes with {n} fields are not supported (only one-field newtypes)")),
     }
-    split_top_level_commas(&tokens).len()
 }
 
 fn parse_variants(group: &proc_macro::Group) -> Result<Vec<Variant>, String> {
@@ -177,7 +185,10 @@ fn parse_variants(group: &proc_macro::Group) -> Result<Vec<Variant>, String> {
         i += 1;
         let shape = match segment.get(i) {
             None => Shape::Unit,
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Shape::Tuple(tuple_arity(g)),
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
+                newtype(g, &name)?;
+                Shape::Newtype
+            }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Shape::Struct(parse_named_fields(g)?),
             Some(t) if is_punct(t, '=') => return Err(format!("discriminant on variant {name} is not supported")),
             Some(other) => return Err(format!("unexpected token {other} after variant {name}")),
@@ -272,7 +283,10 @@ fn parse(input: TokenStream) -> Result<Input, String> {
                 Kind::Struct(parse_named_fields(g)?)
             }
         }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis && !is_enum => Kind::Tuple(tuple_arity(g)),
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis && !is_enum => {
+            newtype(g, &name)?;
+            Kind::Newtype
+        }
         other => return Err(format!("unsupported item body: {other:?}")),
     };
     Ok(Input { name, generic_params, generic_args, kind, untagged })
@@ -300,28 +314,59 @@ impl Input {
     }
 }
 
-const MAP_ERR_SER: &str = ".map_err(|e| <__S::Error as serde::ser::Error>::custom(e))?";
+/// Straight-line encoder body. JSON text known at expansion time (keys,
+/// braces, commas, variant tags) is merged into as few `raw` calls as
+/// possible; each value is handed to the same writer in between.
+struct Emit {
+    code: String,
+    text: String,
+}
 
-/// Expression producing the `Content` for one field value expression.
-fn field_to_content(value_expr: &str, with: &Option<String>, map_err: &str) -> String {
-    match with {
-        Some(path) => format!("{path}::serialize({value_expr}, serde::__private::ContentSerializer){map_err}"),
-        None => format!("serde::__private::to_content({value_expr}){map_err}"),
+impl Emit {
+    fn new() -> Self {
+        Emit { code: String::new(), text: String::new() }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.text.push_str(s);
+    }
+
+    fn value(&mut self, value_expr: &str, with: &Option<String>) {
+        self.flush();
+        let encoder = match with {
+            Some(path) => format!("{path}::serialize"),
+            None => "serde::Serialize::serialize".to_string(),
+        };
+        self.code.push_str(&format!("{encoder}({value_expr}, &mut *__w)?;\n"));
+    }
+
+    fn flush(&mut self) {
+        if !self.text.is_empty() {
+            self.code.push_str(&format!("__w.raw({:?});\n", self.text));
+            self.text.clear();
+        }
+    }
+
+    /// Named fields as a JSON object; `accessor` maps a field name to its
+    /// value expression (e.g. `&self.name` or a match binder).
+    fn object(&mut self, fields: &[Field], accessor: impl Fn(&str) -> String) {
+        self.text("{");
+        for (i, f) in fields.iter().enumerate() {
+            self.text(&format!("{}\"{}\":", if i > 0 { "," } else { "" }, f.name));
+            self.value(&accessor(&f.name), &f.with);
+        }
+        self.text("}");
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
     }
 }
 
-/// Expression building a `Content::Map` from named fields; `accessor` maps a
-/// field name to the value expression (e.g. `&self.name` or `name`).
-fn named_fields_content(fields: &[Field], accessor: impl Fn(&str) -> String, map_err: &str) -> String {
-    let mut pushes = String::new();
-    for f in fields {
-        let value = field_to_content(&accessor(&f.name), &f.with, map_err);
-        pushes.push_str(&format!("__fields.push((::std::string::String::from(\"{}\"), {value}));\n", f.name));
-    }
-    format!(
-        "{{ let mut __fields: ::std::vec::Vec<(::std::string::String, serde::__private::Content)> = ::std::vec::Vec::new();\n\
-         {pushes} serde::__private::Content::Map(__fields) }}"
-    )
+/// `body` run against the serializer's writer.
+fn write_json(body: &str) -> String {
+    format!("__s.write_json(|__w| {{\n{body}::core::result::Result::Ok(())\n}})")
 }
 
 fn gen_serialize(input: &Input) -> Result<String, String> {
@@ -331,51 +376,39 @@ fn gen_serialize(input: &Input) -> Result<String, String> {
     let (params, target) = input.impl_header("");
     let body = match &input.kind {
         Kind::Struct(fields) => {
-            let content = named_fields_content(fields, |n| format!("&self.{n}"), MAP_ERR_SER);
-            format!("__s.serialize_content({content})")
+            let mut e = Emit::new();
+            e.object(fields, |n| format!("&self.{n}"));
+            write_json(&e.finish())
         }
-        Kind::Tuple(1) => format!("__s.serialize_content(serde::__private::to_content(&self.0){MAP_ERR_SER})"),
-        Kind::Tuple(n) => {
-            let items: Vec<String> = (0..*n).map(|i| format!("serde::__private::to_content(&self.{i}){MAP_ERR_SER}")).collect();
-            format!("__s.serialize_content(serde::__private::Content::Seq(::std::vec![{}]))", items.join(", "))
-        }
+        Kind::Newtype => "serde::Serialize::serialize(&self.0, __s)".to_string(),
         Kind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let name = &input.name;
                 let vname = &v.name;
-                let arm = match &v.shape {
-                    Shape::Unit => format!(
-                        "{name}::{vname} => __s.serialize_content(serde::__private::Content::Str(::std::string::String::from(\"{vname}\"))),\n"
-                    ),
-                    Shape::Tuple(1) => format!(
-                        "{name}::{vname}(__f0) => __s.serialize_content(serde::__private::Content::Map(::std::vec![\
-                         (::std::string::String::from(\"{vname}\"), serde::__private::to_content(__f0){MAP_ERR_SER})])),\n"
-                    ),
-                    Shape::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> =
-                            binders.iter().map(|b| format!("serde::__private::to_content({b}){MAP_ERR_SER}")).collect();
-                        format!(
-                            "{name}::{vname}({}) => __s.serialize_content(serde::__private::Content::Map(::std::vec![\
-                             (::std::string::String::from(\"{vname}\"), serde::__private::Content::Seq(::std::vec![{}]))])),\n",
-                            binders.join(", "),
-                            items.join(", ")
-                        )
+                let mut e = Emit::new();
+                let pattern = match &v.shape {
+                    Shape::Unit => {
+                        e.text(&format!("\"{vname}\""));
+                        format!("{name}::{vname}")
+                    }
+                    Shape::Newtype => {
+                        e.text(&format!("{{\"{vname}\":"));
+                        e.value("__f0", &None);
+                        e.text("}");
+                        format!("{name}::{vname}(__f0)")
                     }
                     Shape::Struct(fields) => {
                         let binders: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let inner = named_fields_content(fields, |n| n.to_string(), MAP_ERR_SER);
-                        format!(
-                            "{name}::{vname} {{ {} }} => __s.serialize_content(serde::__private::Content::Map(::std::vec![\
-                             (::std::string::String::from(\"{vname}\"), {inner})])),\n",
-                            binders.join(", ")
-                        )
+                        e.text(&format!("{{\"{vname}\":"));
+                        e.object(fields, |n| n.to_string());
+                        e.text("}");
+                        format!("{name}::{vname} {{ {} }}", binders.join(", "))
                     }
                 };
-                arms.push_str(&arm);
+                arms.push_str(&format!("{pattern} => {{\n{}}}\n", e.finish()));
             }
-            format!("match self {{\n{arms}}}")
+            write_json(&format!("match self {{\n{arms}}}\n"))
         }
     };
     Ok(format!(
@@ -388,46 +421,50 @@ fn gen_serialize(input: &Input) -> Result<String, String> {
     ))
 }
 
-/// Expression deserializing one named field out of `__m`.
-fn field_from_content(field: &Field) -> String {
-    match &field.with {
-        Some(path) => format!(
-            "{path}::deserialize(serde::__private::ContentDeserializer::new(serde::__private::field_content(__m, \"{}\")?))?",
-            field.name
-        ),
-        None => format!("serde::__private::field(__m, \"{}\")?", field.name),
+/// Expression decoding one field's value from `__p`.
+fn field_decoder(with: &Option<String>) -> String {
+    match with {
+        Some(path) => format!("{path}::deserialize(__p)"),
+        None => "serde::Deserialize::deserialize(__p)".to_string(),
     }
 }
 
-fn named_struct_expr(type_path: &str, fields: &[Field]) -> String {
-    let inits: Vec<String> = fields.iter().map(|f| format!("{}: {}", f.name, field_from_content(f))).collect();
-    format!("{type_path} {{ {} }}", inits.join(", "))
+/// Block decoding a JSON object into `type_path { fields }`, evaluating to
+/// `Result<_, serde::__private::Error>`. Keys may come in any order;
+/// unknown keys are skipped.
+fn named_body(type_path: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = Vec::new();
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        slots.push_str(&format!("let mut __v{i} = ::core::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{name}\" => serde::__private::fill(&mut __v{i}, __p, \"{name}\", |__p| {}),\n",
+            field_decoder(&f.with)
+        ));
+        inits.push(format!("{name}: serde::__private::take(__v{i}, \"{name}\")?"));
+    }
+    format!(
+        "{{\n{slots}__p.object(|__p, __k| match __k {{\n{arms}_ => __p.skip_value(),\n}})?;\n\
+         ::core::result::Result::Ok({type_path} {{ {} }})\n}}",
+        inits.join(", ")
+    )
 }
 
 fn gen_deserialize(input: &Input) -> Result<String, String> {
     let name = &input.name;
-    let from_content_body = match &input.kind {
-        Kind::Struct(fields) => {
-            format!(
-                "let __m = serde::__private::as_map(__c)?;\n::core::result::Result::Ok({})",
-                named_struct_expr(name, fields)
-            )
-        }
-        Kind::Tuple(1) => format!("::core::result::Result::Ok({name}(serde::__private::content_to(__c)?))"),
-        Kind::Tuple(n) => {
-            let items: Vec<String> = (0..*n).map(|i| format!("serde::__private::content_to(serde::__private::idx(__seq, {i})?)?")).collect();
-            format!(
-                "let __seq = serde::__private::as_seq(__c)?;\n::core::result::Result::Ok({name}({}))",
-                items.join(", ")
-            )
-        }
+    let read = |body: String| format!("__d.read_json(|__p| {{\n{body}\n}})");
+    let body = match &input.kind {
+        Kind::Struct(fields) => read(named_body(name, fields)),
+        Kind::Newtype => format!("::core::result::Result::Ok({name}(serde::Deserialize::deserialize(__d)?))"),
         Kind::Enum(variants) if input.untagged => {
             let mut attempts = String::new();
             for v in variants {
                 let vname = &v.name;
                 match v.shape {
-                    Shape::Tuple(1) => attempts.push_str(&format!(
-                        "if let ::core::result::Result::Ok(__v) = serde::__private::content_to(__c) {{\n\
+                    Shape::Newtype => attempts.push_str(&format!(
+                        "if let ::core::result::Result::Ok(__v) = serde::__private::FromContent::from_content(&__c) {{\n\
                              return ::core::result::Result::Ok({name}::{vname}(__v));\n\
                          }}\n"
                     )),
@@ -435,7 +472,7 @@ fn gen_deserialize(input: &Input) -> Result<String, String> {
                 }
             }
             format!(
-                "{attempts}::core::result::Result::Err(serde::__private::ContentError::msg(\
+                "let __c = __d.content()?;\n{attempts}::core::result::Result::Err(<__D::Error as serde::de::Error>::custom(\
                  \"data matched no variant of untagged enum {name}\"))"
             )
         }
@@ -443,56 +480,34 @@ fn gen_deserialize(input: &Input) -> Result<String, String> {
             let mut arms = String::new();
             for v in variants {
                 let vname = &v.name;
+                let need_payload = format!(
+                    "if !__payload {{\nreturn ::core::result::Result::Err(serde::__private::no_payload(\"{vname}\"));\n}}\n"
+                );
                 let arm = match &v.shape {
-                    Shape::Unit => format!("\"{vname}\" => ::core::result::Result::Ok({name}::{vname}),\n"),
-                    Shape::Tuple(1) => format!(
-                        "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}(\
-                         serde::__private::content_to(serde::__private::variant_inner(__inner, \"{vname}\")?)?)),\n"
-                    ),
-                    Shape::Tuple(n) => {
-                        let items: Vec<String> =
-                            (0..*n).map(|i| format!("serde::__private::content_to(serde::__private::idx(__seq, {i})?)?")).collect();
-                        format!(
-                            "\"{vname}\" => {{\n\
-                                 let __seq = serde::__private::as_seq(serde::__private::variant_inner(__inner, \"{vname}\")?)?;\n\
-                                 ::core::result::Result::Ok({name}::{vname}({}))\n\
-                             }}\n",
-                            items.join(", ")
-                        )
+                    Shape::Unit => format!("if __payload {{\n__p.skip_value()?;\n}}\n{name}::{vname}"),
+                    Shape::Newtype => format!("{need_payload}{name}::{vname}(serde::Deserialize::deserialize(&mut *__p)?)"),
+                    Shape::Struct(fields) => {
+                        format!("{need_payload}{}?", named_body(&format!("{name}::{vname}"), fields))
                     }
-                    Shape::Struct(fields) => format!(
-                        "\"{vname}\" => {{\n\
-                             let __m = serde::__private::as_map(serde::__private::variant_inner(__inner, \"{vname}\")?)?;\n\
-                             ::core::result::Result::Ok({})\n\
-                         }}\n",
-                        named_struct_expr(&format!("{name}::{vname}"), fields)
-                    ),
                 };
-                arms.push_str(&arm);
+                arms.push_str(&format!("\"{vname}\" => {{\n{arm}\n}}\n"));
             }
-            format!(
-                "let (__tag, __inner) = serde::__private::enum_parts(__c)?;\n\
-                 match __tag {{\n{arms}\
-                 __other => ::core::result::Result::Err(serde::__private::ContentError::msg(\
-                 &format!(\"unknown variant {{__other}} of enum {name}\"))),\n}}"
-            )
+            read(format!(
+                "let (__tag, __payload) = __p.variant()?;\n\
+                 let __v = match &*__tag {{\n{arms}\
+                 __other => return ::core::result::Result::Err(serde::__private::unknown_variant(__other, \"{name}\")),\n}};\n\
+                 if __payload {{\n__p.variant_end()?;\n}}\n\
+                 ::core::result::Result::Ok(__v)"
+            ))
         }
     };
-    let (params, target) = input.impl_header("");
+    let (_, target) = input.impl_header("");
     let (de_params, _) = input.impl_header("'de");
     Ok(format!(
         "#[automatically_derived]\n\
-         impl {params} serde::__private::FromContent for {target} {{\n\
-             fn from_content(__c: &serde::__private::Content) -> ::core::result::Result<Self, serde::__private::ContentError> {{\n\
-                 {from_content_body}\n\
-             }}\n\
-         }}\n\
-         #[automatically_derived]\n\
          impl {de_params} serde::Deserialize<'de> for {target} {{\n\
              fn deserialize<__D: serde::Deserializer<'de>>(__d: __D) -> ::core::result::Result<Self, __D::Error> {{\n\
-                 let __c = __d.content()?;\n\
-                 <Self as serde::__private::FromContent>::from_content(&__c)\
-                     .map_err(|e| <__D::Error as serde::de::Error>::custom(e))\n\
+                 {body}\n\
              }}\n\
          }}\n"
     ))

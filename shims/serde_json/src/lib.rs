@@ -1,9 +1,16 @@
-//! Offline stand-in for `serde_json`: `to_string` / `from_str` over the shim
-//! serde's `Content` tree. Covers the JSON-lines log format this workspace
-//! reads and writes — objects, arrays, strings with escapes, integers kept
-//! exact (i64/u64), floats rendered with Rust's shortest-round-trip `{}`.
+//! Offline stand-in for `serde_json`: [`to_writer`], [`to_string`] and
+//! [`from_str`] over the shim serde's one-pass JSON writer and parser.
+//! Covers the JSON-lines log format this workspace reads and writes —
+//! objects, arrays, strings with escapes, integers kept exact (i64/u64),
+//! floats rendered with Rust's shortest-round-trip `{}`.
+//!
+//! Encoding appends to a caller-owned buffer: a hot loop that serializes
+//! record after record calls [`to_writer`] on one `Vec<u8>` it clears
+//! between records, instead of allocating a `String` per record.
+//! Decoding reads typed values straight out of the input text; nothing is
+//! parsed into an intermediate tree first.
 
-use serde::__private::{Content, ContentDeserializer};
+use serde::__private::{Parser, Writer};
 
 /// Error type (`std::error::Error + Send + Sync`, as `io::Error::other`
 /// requires).
@@ -30,286 +37,35 @@ impl serde::de::Error for Error {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serialization.
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+impl From<serde::__private::Error> for Error {
+    fn from(e: serde::__private::Error) -> Self {
+        Error(e.to_string())
     }
-    out.push('"');
 }
 
-fn render_into(out: &mut String, c: &Content) {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        // JSON has no NaN/Infinity; like upstream's to_string on a
-        // non-finite f64 inside a container, fall back to null.
-        Content::F64(v) if !v.is_finite() => out.push_str("null"),
-        Content::F64(v) => {
-            let s = v.to_string();
-            out.push_str(&s);
-            // Keep floats self-describing so they parse back as floats.
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
-        Content::Str(s) => escape_into(out, s),
-        Content::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(out, item);
-            }
-            out.push(']');
-        }
-        Content::Map(entries) => {
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                escape_into(out, k);
-                out.push(':');
-                render_into(out, v);
-            }
-            out.push('}');
-        }
-    }
+/// Appends the JSON of `value` to `out`. Unlike upstream, which takes any
+/// `io::Write`, the shim writes into a byte buffer only (`&mut Vec<u8>`
+/// callers compile against both).
+pub fn to_writer<T: serde::Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<(), Error> {
+    let mut w = Writer::new(std::mem::take(out));
+    let result = value.serialize(&mut w);
+    *out = w.into_inner();
+    Ok(result?)
 }
 
 /// Serializes a value to a JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let content = serde::__private::to_content(value).map_err(|e| Error(e.to_string()))?;
-    let mut out = String::new();
-    render_into(&mut out, &content);
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Parsing.
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn expect_literal(&mut self, lit: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {lit}")))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Content, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.expect_literal("null").map(|()| Content::Null),
-            Some(b't') => self.expect_literal("true").map(|()| Content::Bool(true)),
-            Some(b'f') => self.expect_literal("false").map(|()| Content::Bool(false)),
-            Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                self.expect_literal("\\u")?;
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(cp).ok_or_else(|| self.err("invalid unicode escape"))?);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                c if c < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("invalid utf-8"))?);
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        let digits = self.bytes.get(self.pos..end).ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn parse_number(&mut self) -> Result<Content, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad number"))?;
-        if !is_float {
-            // Keep integers exact when they fit.
-            if text.starts_with('-') {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Content::I64(v));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Content::U64(v));
-            }
-        }
-        text.parse::<f64>().map(Content::F64).map_err(|_| self.err("bad number"))
-    }
-
-    fn parse_array(&mut self) -> Result<Content, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Content::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                _ => return Err(self.err("expected , or ] in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Content, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Content::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                _ => return Err(self.err("expected , or } in object")),
-            }
-        }
-    }
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    Ok(String::from_utf8(out).expect("the writer appends only UTF-8"))
 }
 
 /// Parses a JSON string into a deserializable value.
 pub fn from_str<'a, T: serde::Deserialize<'a>>(s: &'a str) -> Result<T, Error> {
-    let mut parser = Parser { bytes: s.as_bytes(), pos: 0 };
-    let content = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing characters after JSON value"));
-    }
-    T::deserialize(ContentDeserializer::new(&content)).map_err(|e| Error(e.to_string()))
+    let mut parser = Parser::new(s);
+    let value = T::deserialize(&mut parser)?;
+    parser.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -359,6 +115,115 @@ mod tests {
         assert!(super::from_str::<u64>("{").is_err());
         assert!(super::from_str::<Vec<u8>>("[1,2,").is_err());
         assert!(super::from_str::<String>("\"unterminated").is_err());
+        let rejected = |json: &str, why: &str| {
+            let err = super::from_str::<Rec>(json).expect_err(json).to_string();
+            assert!(err.contains(why), "{json}: expected {why:?}, got {err:?}");
+        };
+        let ok = r#"{"name":"n","count":1,"scale":1.5,"flags":[],"note":null}"#;
+        assert!(super::from_str::<Rec>(ok).is_ok());
+        rejected(&format!("{ok} x"), "trailing characters");
+        rejected(&format!("{ok}}}"), "trailing characters");
+        rejected(r#"{"name":"ab\"#, "unterminated escape");
+        rejected("{\"name\":\"a\u{1}b\"}", "raw control character");
+        rejected(r#"{"name":"\u12"#, "truncated \\u escape");
+        rejected(r#"{"name":"\u12"}"#, "bad \\u escape");
+        rejected(r#"{"name":"\udc00"}"#, "invalid unicode escape");
+        rejected(r#"{"name":"\ud800\u0041"}"#, "invalid low surrogate");
+        rejected(r#"{"name":"\q"}"#, "unknown escape");
+        rejected(r#"{"name":"n","count":-1}"#, "out of range for u64");
+        rejected(r#"{"name":"n","count":1.5}"#, "expected integer for u64, found number");
+        rejected(r#"{"name":"n","count":1,"scale":1.5,"flags":[1]}"#, "expected bool, found number");
+        rejected(r#"{"name":"n","count":1,"scale":1.5,"flags":[]}"#, "missing field \"note\"");
+        rejected(r#"["name"]"#, "expected map, found sequence");
+    }
+
+    /// The `finite_or_tag` float codec of the trial records, rebuilt here
+    /// (the shim cannot depend on the crate that defines it).
+    mod finite_or_tag {
+        use serde::{Deserialize, Deserializer, Serializer};
+
+        pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
+            if v.is_finite() {
+                s.serialize_f64(*v)
+            } else if v.is_nan() {
+                s.serialize_str("nan")
+            } else if *v > 0.0 {
+                s.serialize_str("inf")
+            } else {
+                s.serialize_str("-inf")
+            }
+        }
+
+        #[derive(Deserialize)]
+        #[serde(untagged)]
+        enum Raw {
+            Num(f64),
+            Tag(String),
+        }
+
+        pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
+            match Raw::deserialize(d)? {
+                Raw::Num(v) => Ok(v),
+                Raw::Tag(t) => match t.as_str() {
+                    "inf" => Ok(f64::INFINITY),
+                    "-inf" => Ok(f64::NEG_INFINITY),
+                    "nan" => Ok(f64::NAN),
+                    other => Err(serde::de::Error::custom(format!("bad float tag {other:?}"))),
+                },
+            }
+        }
+    }
+
+    #[derive(Debug, Serialize, Deserialize)]
+    struct Mixed {
+        text: String,
+        unsigned: u64,
+        signed: i64,
+        #[serde(with = "finite_or_tag")]
+        float: f64,
+    }
+
+    /// Builds a string biased towards what JSON must escape: quotes,
+    /// backslashes, control characters and non-BMP text.
+    fn hostile_string(codes: &[u32]) -> String {
+        const SPECIAL: [char; 10] = ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', '/', '😀'];
+        codes
+            .iter()
+            .map(|&c| match c % 4 {
+                0 => SPECIAL[(c / 4) as usize % SPECIAL.len()],
+                1 => char::from_u32(0x20 + (c >> 2) % 0x5f).unwrap(),
+                _ => char::from_u32((c >> 2) % 0x11_0000).unwrap_or('\u{fffd}'),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn values_roundtrip_through_text(
+            codes in proptest::collection::vec(proptest::any::<u32>(), 0..48),
+            unsigned: u64,
+            signed: i64,
+            bits: u64,
+            special in 0usize..6,
+        ) {
+            // Raw bit patterns cover NaN payloads, subnormals and ±0; the
+            // `special` index mixes in the values random bits rarely hit.
+            let float = [f64::from_bits(bits), f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::MAX, 5e-324][special];
+            let v = Mixed { text: hostile_string(&codes), unsigned, signed, float };
+            let json = super::to_string(&v).unwrap();
+            let back: Mixed = super::from_str(&json).unwrap();
+            proptest::prop_assert_eq!(&back.text, &v.text);
+            proptest::prop_assert_eq!(back.unsigned, v.unsigned);
+            proptest::prop_assert_eq!(back.signed, v.signed);
+            // Every NaN comes back as the canonical "nan"; other values are
+            // bit-exact.
+            if v.float.is_nan() {
+                proptest::prop_assert!(back.float.is_nan());
+            } else {
+                proptest::prop_assert_eq!(back.float.to_bits(), v.float.to_bits());
+            }
+            proptest::prop_assert_eq!(super::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]
