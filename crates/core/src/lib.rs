@@ -63,6 +63,8 @@ pub use orchestrator::{run_campaign_isolated, run_campaign_stored, StoreConfig, 
 pub use warden::{IsolateConfig, IsolatedTrial, Warden};
 pub use fuel::Fuel;
 pub use models::{FaultApplicator, FaultModel, InjectionDetail};
+/// The telemetry sink, for targets that count their own events.
+pub use obs;
 pub use output::{Mismatch, Output};
 pub use pool::TargetPool;
 pub use record::{OutcomeRecord, TrialRecord, VarDesc};

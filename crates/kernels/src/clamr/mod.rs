@@ -33,7 +33,6 @@ pub mod tree;
 
 use crate::par::{par_for_each, static_partition};
 use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
-use carolfi::fuel::Fuel;
 use carolfi::output::Output;
 use carolfi::target::{FaultTarget, StepOutcome, VarClass, VarInfo, Variable};
 use std::sync::Arc;
@@ -176,6 +175,86 @@ pub struct Clamr {
     cell_history: Vec<usize>,
     /// Set once at the end of `new()`.
     pristine: Option<Arc<Pristine>>,
+    /// Buffers the flux and remesh phases build the next mesh in before
+    /// swapping it in; the swapped-out mesh becomes the next step's buffers.
+    spare: Spare,
+}
+
+/// One thread's share of a flux step: its control block and its output
+/// slots `lo..lo + h.len()` of the next mesh.
+struct FluxSlots<'a> {
+    ctl: &'a mut Ctrl,
+    lo: usize,
+    h: &'a mut [f64],
+    u: &'a mut [f64],
+    v: &'a mut [f64],
+    g: &'a mut [f64],
+    ci: &'a mut [u32],
+    cj: &'a mut [u32],
+    lv: &'a mut [u32],
+}
+
+/// Harness scratch: a second mesh and the remesh grouping tables. Every
+/// phase clears what it uses before writing it, so nothing here survives a
+/// step boundary. Not injectable and not part of the checkpointed state.
+#[derive(Clone, Default)]
+struct Spare {
+    ci: Vec<u32>,
+    cj: Vec<u32>,
+    clevel: Vec<u32>,
+    h: Vec<f64>,
+    uvel: Vec<f64>,
+    vvel: Vec<f64>,
+    grad: Vec<f64>,
+    /// Coarsening candidates as (sibling key, cell), sorted to group them.
+    candidates: Vec<((u32, u32, u32), usize)>,
+    /// Each cell's part in this remesh, indexed by cell.
+    role: Vec<Role>,
+    /// The sibling quads that coarsen, each in ascending cell order.
+    quads: Vec<[usize; 4]>,
+    /// The tree's answer for every fine-grid point (`tree::rasterize`).
+    table: Vec<i32>,
+}
+
+/// What one remesh does with a cell.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Refines, or stays as it is.
+    Keep,
+    /// The lowest cell of the coarsening quad `quads[i]`: emits the parent.
+    FirstOf(usize),
+    /// Another member of a coarsening quad: emitted with its first cell.
+    Sibling,
+}
+
+impl Spare {
+    /// Empties the mesh buffers, keeping their allocations.
+    fn clear_mesh(&mut self) {
+        for v in [&mut self.ci, &mut self.cj, &mut self.clevel] {
+            v.clear();
+        }
+        for v in [&mut self.h, &mut self.uvel, &mut self.vvel, &mut self.grad] {
+            v.clear();
+        }
+    }
+
+    /// Swaps the mesh buffers with the target's mesh arrays.
+    fn swap_mesh(&mut self, c: &mut Clamr) {
+        std::mem::swap(&mut self.ci, &mut c.ci);
+        std::mem::swap(&mut self.cj, &mut c.cj);
+        std::mem::swap(&mut self.clevel, &mut c.clevel);
+        std::mem::swap(&mut self.h, &mut c.h);
+        std::mem::swap(&mut self.uvel, &mut c.uvel);
+        std::mem::swap(&mut self.vvel, &mut c.vvel);
+        std::mem::swap(&mut self.grad, &mut c.grad);
+    }
+}
+
+/// Empties `v` and refills it with `n` zeros, keeping its allocation.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
+    v.clear();
+    v.resize(n, T::default());
+    v
 }
 
 impl Clamr {
@@ -243,6 +322,7 @@ impl Clamr {
             total: p.timesteps * 4,
             cell_history: Vec::new(),
             pristine: None,
+            spare: Spare::default(),
         };
         // Pre-refine around the initial bump so the run starts on a
         // realistic adapted mesh (CLAMR does the same during setup).
@@ -340,35 +420,26 @@ impl Clamr {
     /// arrays come out of the flux phase in Morton order. A corrupted
     /// permutation entry walks out of the mesh (crash DUE) or duplicates /
     /// drops cells (an overlapping mesh the next tree build rejects).
+    ///
+    /// The neighbour lookups are answered from a table of the tree's
+    /// answers, built once per step, instead of one tree descent each; they
+    /// fall back to descents when the tree has links a walk cannot follow.
     fn phase_flux(&mut self) {
         let n = self.h.len();
-        let mut new_h = vec![0.0f64; n];
-        let mut new_u = vec![0.0f64; n];
-        let mut new_v = vec![0.0f64; n];
-        let mut new_g = vec![0.0f64; n];
-        let mut new_ci = vec![0u32; n];
-        let mut new_cj = vec![0u32; n];
-        let mut new_lv = vec![0u32; n];
+        let fine = self.fine();
+        let mut spare = std::mem::take(&mut self.spare);
+        let table = tree::rasterize(&self.tree_child, &self.tree_cell, fine, &mut spare.table);
+        let (new_h, new_u, new_v, new_g) =
+            (zeroed(&mut spare.h, n), zeroed(&mut spare.uvel, n), zeroed(&mut spare.vvel, n), zeroed(&mut spare.grad, n));
+        let (new_ci, new_cj, new_lv) = (zeroed(&mut spare.ci, n), zeroed(&mut spare.cj, n), zeroed(&mut spare.clevel, n));
 
-        struct Item<'a> {
-            ctl: &'a mut Ctrl,
-            h: &'a mut [f64],
-            u: &'a mut [f64],
-            v: &'a mut [f64],
-            g: &'a mut [f64],
-            ci: &'a mut [u32],
-            cj: &'a mut [u32],
-            lv: &'a mut [u32],
-            lo: usize,
-        }
         // Detach the control blocks so `self` stays shareable during the
         // parallel region.
         let mut ctrl = std::mem::take(&mut self.ctrl);
-        let mut items: Vec<Item<'_>> = Vec::with_capacity(ctrl.len());
+        let mut items: Vec<FluxSlots<'_>> = Vec::with_capacity(ctrl.len());
         {
-            let (mut rh, mut ru, mut rv, mut rg): (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) =
-                (&mut new_h, &mut new_u, &mut new_v, &mut new_g);
-            let (mut rci, mut rcj, mut rlv): (&mut [u32], &mut [u32], &mut [u32]) = (&mut new_ci, &mut new_cj, &mut new_lv);
+            let (mut rh, mut ru, mut rv, mut rg) = (new_h, new_u, new_v, new_g);
+            let (mut rci, mut rcj, mut rlv) = (new_ci, new_cj, new_lv);
             for (t, ctl) in ctrl.iter_mut().enumerate() {
                 let (s, e) = static_partition(n, self.p.logical_threads, t);
                 let (h, th) = rh.split_at_mut(e - s);
@@ -385,38 +456,28 @@ impl Clamr {
                 rci = tci;
                 rcj = tcj;
                 rlv = tlv;
-                items.push(Item { ctl, h, u, v, g, ci, cj, lv, lo: s });
+                items.push(FluxSlots { ctl, h, u, v, g, ci, cj, lv, lo: s });
             }
         }
         let me = &*self;
-        par_for_each(&mut items, self.p.workers, |_, item| {
-            me.flux_range(item.ctl, item.lo, item.h, item.u, item.v, item.g, item.ci, item.cj, item.lv);
-        });
+        if table {
+            let locate = |x, y| tree::lookup(&spare.table, fine, x, y);
+            par_for_each(&mut items, self.p.workers, |_, item| me.flux_range(item, &locate));
+        } else {
+            let locate = |x, y| tree::query(&me.tree_child, &me.tree_cell, fine, x, y);
+            par_for_each(&mut items, self.p.workers, |_, item| me.flux_range(item, &locate));
+        }
         drop(items);
         self.ctrl = ctrl;
-        self.h = new_h;
-        self.uvel = new_u;
-        self.vvel = new_v;
-        self.grad = new_g;
-        self.ci = new_ci;
-        self.cj = new_cj;
-        self.clevel = new_lv;
+        spare.swap_mesh(self);
+        self.spare = spare;
     }
 
-    /// Flux update for traversal slots `lo..lo + out.len()`.
-    #[allow(clippy::too_many_arguments)]
-    fn flux_range(
-        &self,
-        ctl: &mut Ctrl,
-        lo: usize,
-        oh: &mut [f64],
-        ou: &mut [f64],
-        ov: &mut [f64],
-        og: &mut [f64],
-        oci: &mut [u32],
-        ocj: &mut [u32],
-        olv: &mut [u32],
-    ) {
+    /// Flux update for one thread's traversal slots, locating neighbour
+    /// cells through `locate` (a tree query, or its rasterised answer).
+    fn flux_range(&self, slots: &mut FluxSlots<'_>, locate: &impl Fn(u32, u32) -> Option<u32>) {
+        let FluxSlots { ctl, lo, h: oh, u: ou, v: ov, g: og, ci: oci, cj: ocj, lv: olv } = slots;
+        let lo = *lo;
         let fine = ctl.fine_local as u32; // injectable domain extent
         let pm = self.ptr_state as usize;
         for k in 0..oh.len() {
@@ -442,7 +503,7 @@ impl Clamr {
                 if x < 0 || y < 0 || x >= fine as i64 || y >= fine as i64 {
                     return (1.0, 0.0, 0.0);
                 }
-                match tree::query(&self.tree_child, &self.tree_cell, self.fine(), x as u32, y as u32) {
+                match locate(x as u32, y as u32) {
                     Some(nc) => {
                         let nc = nc as usize;
                         (self.h[pm + nc], self.uvel[pm + nc], self.vvel[pm + nc])
@@ -508,65 +569,73 @@ impl Clamr {
     /// Sub-step 4: refine steep cells, coarsen calm sibling quads.
     fn phase_remesh(&mut self) {
         let n = self.h.len();
-        // Sibling groups eligible for coarsening: key = (level, i/2, j/2).
-        let mut groups: std::collections::HashMap<(u32, u32, u32), Vec<usize>> = std::collections::HashMap::new();
+        let mut spare = std::mem::take(&mut self.spare);
+        // Sibling groups eligible for coarsening share the key (level, i/2,
+        // j/2); exactly four members make a quad. Sorting the candidates by
+        // (key, cell) lists every group's members together, in ascending
+        // cell order — the grouping by key alone decides, whatever corrupted
+        // coordinates or levels the cells carry.
+        spare.candidates.clear();
         for c in 0..n {
             if self.clevel[c] > 0 && self.grad[c] < self.coarsen_thresh {
-                groups.entry((self.clevel[c], self.ci[c] / 2, self.cj[c] / 2)).or_default().push(c);
+                spare.candidates.push(((self.clevel[c], self.ci[c] / 2, self.cj[c] / 2), c));
             }
         }
-        let mut coarsen_first: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
-        let mut coarsen_member: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for (_, cells) in groups {
-            if cells.len() == 4 {
-                let first = *cells.iter().min().expect("nonempty");
-                for &c in &cells {
-                    coarsen_member.insert(c);
+        spare.candidates.sort_unstable();
+        spare.role.clear();
+        spare.role.resize(n, Role::Keep);
+        spare.quads.clear();
+        for group in spare.candidates.chunk_by(|a, b| a.0 == b.0) {
+            if let [(_, a), (_, b), (_, c), (_, d)] = *group {
+                spare.role[a] = Role::FirstOf(spare.quads.len());
+                for sibling in [b, c, d] {
+                    spare.role[sibling] = Role::Sibling;
                 }
-                coarsen_first.insert(first, cells);
+                spare.quads.push([a, b, c, d]);
             }
         }
 
-        let (mut ci2, mut cj2, mut lv2) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut h2, mut u2, mut v2, mut g2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for c in 0..n {
-            if let Some(cells) = coarsen_first.get(&c) {
-                ci2.push(self.ci[c] / 2);
-                cj2.push(self.cj[c] / 2);
-                lv2.push(self.clevel[c] - 1);
-                h2.push(cells.iter().map(|&x| self.h[x]).sum::<f64>() / 4.0);
-                u2.push(cells.iter().map(|&x| self.uvel[x]).sum::<f64>() / 4.0);
-                v2.push(cells.iter().map(|&x| self.vvel[x]).sum::<f64>() / 4.0);
-                g2.push(cells.iter().map(|&x| self.grad[x]).sum::<f64>() / 4.0);
-            } else if coarsen_member.contains(&c) {
-                // Emitted with its group's first sibling.
-            } else if self.clevel[c] < self.p.max_level && self.grad[c] > self.refine_thresh {
-                for (di, dj) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)] {
-                    ci2.push(self.ci[c] * 2 + di);
-                    cj2.push(self.cj[c] * 2 + dj);
-                    lv2.push(self.clevel[c] + 1);
+        spare.clear_mesh();
+        let Spare { ci: ci2, cj: cj2, clevel: lv2, h: h2, uvel: u2, vvel: v2, grad: g2, role, quads, .. } = &mut spare;
+        for (c, &role) in role.iter().enumerate() {
+            match role {
+                Role::FirstOf(q) => {
+                    let cells = &quads[q];
+                    ci2.push(self.ci[c] / 2);
+                    cj2.push(self.cj[c] / 2);
+                    lv2.push(self.clevel[c] - 1);
+                    h2.push(cells.iter().map(|&x| self.h[x]).sum::<f64>() / 4.0);
+                    u2.push(cells.iter().map(|&x| self.uvel[x]).sum::<f64>() / 4.0);
+                    v2.push(cells.iter().map(|&x| self.vvel[x]).sum::<f64>() / 4.0);
+                    g2.push(cells.iter().map(|&x| self.grad[x]).sum::<f64>() / 4.0);
+                }
+                Role::Sibling => {
+                    // Emitted with its group's first sibling.
+                }
+                Role::Keep if self.clevel[c] < self.p.max_level && self.grad[c] > self.refine_thresh => {
+                    for (di, dj) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)] {
+                        ci2.push(self.ci[c] * 2 + di);
+                        cj2.push(self.cj[c] * 2 + dj);
+                        lv2.push(self.clevel[c] + 1);
+                        h2.push(self.h[c]);
+                        u2.push(self.uvel[c]);
+                        v2.push(self.vvel[c]);
+                        g2.push(self.grad[c]);
+                    }
+                }
+                Role::Keep => {
+                    ci2.push(self.ci[c]);
+                    cj2.push(self.cj[c]);
+                    lv2.push(self.clevel[c]);
                     h2.push(self.h[c]);
                     u2.push(self.uvel[c]);
                     v2.push(self.vvel[c]);
                     g2.push(self.grad[c]);
                 }
-            } else {
-                ci2.push(self.ci[c]);
-                cj2.push(self.cj[c]);
-                lv2.push(self.clevel[c]);
-                h2.push(self.h[c]);
-                u2.push(self.uvel[c]);
-                v2.push(self.vvel[c]);
-                g2.push(self.grad[c]);
             }
         }
-        self.ci = ci2;
-        self.cj = cj2;
-        self.clevel = lv2;
-        self.h = h2;
-        self.uvel = u2;
-        self.vvel = v2;
-        self.grad = g2;
+        spare.swap_mesh(self);
+        self.spare = spare;
         self.ncells = self.h.len() as u64;
         for ctl in &mut self.ctrl {
             ctl.ncells_local = self.ncells;
@@ -585,19 +654,6 @@ impl FaultTarget for Clamr {
 
     fn steps_executed(&self) -> usize {
         self.done
-    }
-
-    fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
-        while self.done < step_bound {
-            fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
     }
 
     fn step(&mut self) -> StepOutcome {
@@ -882,5 +938,145 @@ mod tests {
             while c.step() == StepOutcome::Continue {}
         }));
         assert!(r.is_err());
+    }
+    /// Whether `tree::rasterize` builds a table for `c`'s current tree; when
+    /// it does, asserts the table answers every point of the domain and
+    /// past its edges exactly as `tree::query` does.
+    fn table_answers_like_queries(c: &Clamr) -> bool {
+        let fine = c.fine();
+        let mut table = Vec::new();
+        if !tree::rasterize(&c.tree_child, &c.tree_cell, fine, &mut table) {
+            return false;
+        }
+        for y in 0..fine + 2 {
+            for x in 0..fine + 2 {
+                let want = tree::query(&c.tree_child, &c.tree_cell, fine, x, y);
+                assert_eq!(tree::lookup(&table, fine, x, y), want, "step {}, point ({x}, {y})", c.done);
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn every_clean_flux_step_reads_neighbours_from_the_table() {
+        // A table that is never built leaves every record right and the
+        // flux phase as slow as one tree descent per lookup.
+        let mut c = Clamr::new(ClamrParams::test());
+        while c.done < c.total {
+            if c.done % 4 == 2 {
+                assert!(table_answers_like_queries(&c), "flux step {} fell back to queries", c.done);
+            }
+            c.step();
+        }
+    }
+
+    #[test]
+    fn corrupted_run_trees_rasterize_like_queries_or_fall_back() {
+        let mut c = Clamr::new(ClamrParams::test());
+        while c.done % 4 != 2 {
+            c.step();
+        }
+        let n = c.h.len() as i32;
+        let corrupt = |f: &dyn Fn(&mut Clamr)| {
+            let mut t = c.clone();
+            f(&mut t);
+            table_answers_like_queries(&t)
+        };
+        // Links out of the node arrays: only queries may answer.
+        assert!(!corrupt(&|t| t.tree_child[0] = 1_000_000));
+        assert!(!corrupt(&|t| t.tree_child[1] = -5));
+        // Cycles, a shared child, a leaf naming a cell past the mesh.
+        assert!(corrupt(&|t| t.tree_child.iter_mut().filter(|l| **l > 0).for_each(|l| *l = 0)));
+        assert!(corrupt(&|t| t.tree_child[2] = t.tree_child[3]));
+        assert!(corrupt(&|t| {
+            let leaf = t.tree_cell.iter().position(|&x| x != tree::NIL).expect("a leaf");
+            t.tree_cell[leaf] = n + 3;
+        }));
+    }
+
+    /// The remesh grouping as it was first written, with hashed sibling
+    /// groups: the reference the sort-based grouping must reproduce.
+    #[allow(clippy::type_complexity)]
+    fn remesh_by_hashing(c: &Clamr) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>) {
+        use std::collections::{HashMap, HashSet};
+        let n = c.h.len();
+        let mut groups: HashMap<(u32, u32, u32), Vec<usize>> = HashMap::new();
+        for k in 0..n {
+            if c.clevel[k] > 0 && c.grad[k] < c.coarsen_thresh {
+                groups.entry((c.clevel[k], c.ci[k] / 2, c.cj[k] / 2)).or_default().push(k);
+            }
+        }
+        let mut first: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut member: HashSet<usize> = HashSet::new();
+        for (_, cells) in groups {
+            if cells.len() == 4 {
+                member.extend(cells.iter().copied());
+                first.insert(*cells.iter().min().expect("nonempty"), cells);
+            }
+        }
+        let mut out = (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut emit = |ci: u32, cj: u32, lv: u32, vals: [f64; 4]| {
+            out.0.push(ci);
+            out.1.push(cj);
+            out.2.push(lv);
+            out.3.push(vals[0].to_bits());
+            out.4.push(vals[1].to_bits());
+            out.5.push(vals[2].to_bits());
+            out.6.push(vals[3].to_bits());
+        };
+        for k in 0..n {
+            if let Some(cells) = first.get(&k) {
+                let avg = |a: &[f64]| cells.iter().map(|&x| a[x]).sum::<f64>() / 4.0;
+                emit(c.ci[k] / 2, c.cj[k] / 2, c.clevel[k] - 1, [avg(&c.h), avg(&c.uvel), avg(&c.vvel), avg(&c.grad)]);
+            } else if member.contains(&k) {
+            } else if c.clevel[k] < c.p.max_level && c.grad[k] > c.refine_thresh {
+                for (di, dj) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)] {
+                    emit(c.ci[k] * 2 + di, c.cj[k] * 2 + dj, c.clevel[k] + 1, [c.h[k], c.uvel[k], c.vvel[k], c.grad[k]]);
+                }
+            } else {
+                emit(c.ci[k], c.cj[k], c.clevel[k], [c.h[k], c.uvel[k], c.vvel[k], c.grad[k]]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn remesh_grouping_matches_hashed_groups_under_corrupted_coordinates() {
+        use rand::Rng;
+        let p = ClamrParams::small();
+        let mut c = Clamr::new(p);
+        while c.done % 4 != 3 {
+            c.step();
+        }
+        let mut rng = carolfi::rng::fork(0xC1A, 3);
+        let mut coarsened = 0;
+        for round in 0..200 {
+            let mut t = c.clone();
+            let n = t.h.len();
+            if round % 2 == 0 {
+                // A calm mesh: every complete sibling quad coarsens.
+                t.grad.iter_mut().for_each(|g| *g = 0.0);
+            }
+            // Few distinct coordinates and levels, so corrupted cells join,
+            // split and overfill sibling groups.
+            for _ in 0..rng.gen_range(1..40) {
+                let k = rng.gen_range(0..n);
+                match rng.gen_range(0..5) {
+                    0 => t.ci[k] = rng.gen_range(0..6),
+                    1 => t.cj[k] = rng.gen_range(0..6),
+                    2 => t.clevel[k] = rng.gen_range(0..4),
+                    3 => t.grad[k] = if rng.gen_bool(0.5) { 0.0 } else { f64::NAN },
+                    _ => t.ci[k] = u32::MAX - rng.gen_range(0..3u32),
+                }
+            }
+            let expect = remesh_by_hashing(&t);
+            t.phase_remesh();
+            let bits = |a: &[f64]| a.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let got = (t.ci.clone(), t.cj.clone(), t.clevel.clone(), bits(&t.h), bits(&t.uvel), bits(&t.vvel), bits(&t.grad));
+            assert!(got == expect, "round {round}: remesh diverged from the hashed grouping");
+            assert_eq!(t.ncells, t.h.len() as u64);
+            coarsened += usize::from(!t.spare.quads.is_empty());
+        }
+        assert!(coarsened >= 100, "only {coarsened} rounds coarsened a quad");
     }
 }

@@ -98,6 +98,56 @@ pub fn query(child: &[i32], cellarr: &[i32], size: u32, x: u32, y: u32) -> Optio
     panic!("spatial tree corrupted: descent exceeded {MAX_DEPTH} levels");
 }
 
+/// Writes, for every fine-grid point `(x, y)` of the `size × size` domain,
+/// what [`query`] returns there into `table[y × size + x]` ([`NIL`] for
+/// `None`), by one depth-first walk over the tree instead of one descent per
+/// point. Returns `false`, leaving `table` unusable, when some walk would
+/// index outside the node arrays — where a query could panic, so only
+/// [`query`] itself may answer.
+///
+/// Every query ends within `log2(size)` levels (the region halves per hop),
+/// so the walk is bounded too, and links that share or revisit nodes
+/// rasterise exactly as the queries would follow them.
+pub fn rasterize(child: &[i32], cellarr: &[i32], size: u32, table: &mut Vec<i32>) -> bool {
+    let size = size as usize;
+    table.clear();
+    table.resize(size * size, NIL);
+    fill(child, cellarr, size, table, 0, (0, 0, size))
+}
+
+/// Rasterises the region `(nx, ny, ns)` reached at `node`.
+fn fill(child: &[i32], cellarr: &[i32], size: usize, table: &mut [i32], node: usize, region: (usize, usize, usize)) -> bool {
+    let (nx, ny, ns) = region;
+    let Some(&leaf) = cellarr.get(node) else { return false };
+    if leaf != NIL {
+        for row in table[ny * size..(ny + ns) * size].chunks_exact_mut(size) {
+            row[nx..nx + ns].fill(leaf);
+        }
+        return true;
+    }
+    if ns <= 1 {
+        return true;
+    }
+    let half = ns / 2;
+    for q in 0..4 {
+        let Some(&link) = child.get(node.wrapping_mul(4).wrapping_add(q)) else { return false };
+        if link != NIL && !fill(child, cellarr, size, table, link as usize, (nx + (q & 1) * half, ny + (q >> 1) * half, half)) {
+            return false;
+        }
+    }
+    true
+}
+
+/// [`query`] answered from a table [`rasterize`] filled.
+#[inline]
+pub fn lookup(table: &[i32], size: u32, x: u32, y: u32) -> Option<u32> {
+    if x >= size || y >= size {
+        return None;
+    }
+    let leaf = table[y as usize * size as usize + x as usize];
+    (leaf != NIL).then_some(leaf as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,5 +248,51 @@ mod tests {
                 assert_eq!(query(&child, &cells, 8, x, y), Some(y * 8 + x));
             }
         }
+    }
+    /// Asserts the rasterised table answers every point like `query`.
+    fn assert_table_matches_queries(child: &[i32], cells: &[i32], size: u32) {
+        let mut table = Vec::new();
+        assert!(rasterize(child, cells, size, &mut table));
+        for y in 0..size + 2 {
+            for x in 0..size + 2 {
+                assert_eq!(lookup(&table, size, x, y), query(child, cells, size, x, y), "point ({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    fn rasterized_table_answers_like_queries() {
+        let mut child = Vec::new();
+        let mut cells = Vec::new();
+        build(&mut child, &mut cells, 4, &sample_cells());
+        assert_table_matches_queries(&child, &cells, 4);
+        build(&mut child, &mut cells, 4, &[(0, 0, 2, 0)]);
+        assert_table_matches_queries(&child, &cells, 4);
+        // A big cell inserted over smaller ones shadows them, as in a query.
+        build(&mut child, &mut cells, 8, &[(0, 0, 1, 0), (4, 4, 2, 1), (0, 0, 4, 2)]);
+        assert_table_matches_queries(&child, &cells, 8);
+    }
+
+    #[test]
+    fn rasterized_table_follows_corrupted_links_like_queries() {
+        let mut child = Vec::new();
+        let mut cells = Vec::new();
+        build(&mut child, &mut cells, 4, &sample_cells());
+        let pristine = (child.clone(), cells.clone());
+        // Cycles back to the root, a shared child, a corrupted leaf payload.
+        for link in child.iter_mut().filter(|l| **l != NIL) {
+            *link = 0;
+        }
+        assert_table_matches_queries(&child, &cells, 4);
+        let (mut child, mut cells) = pristine.clone();
+        child[1] = child[3];
+        cells[0] = 12345;
+        assert_table_matches_queries(&child, &cells, 4);
+        // A link out of the node arrays: only `query` may answer.
+        let (mut child, cells) = pristine;
+        child[0] = 1_000_000;
+        assert!(!rasterize(&child, &cells, 4, &mut Vec::new()));
+        child[0] = -7;
+        assert!(!rasterize(&child, &cells, 4, &mut Vec::new()));
     }
 }

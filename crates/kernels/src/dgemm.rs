@@ -15,6 +15,7 @@
 //! (crash DUEs); corrupted loop *bounds* that spin without touching memory
 //! exhaust the fuel watchdog (timeout DUEs).
 
+use crate::fast::{self, FastPath};
 use crate::par::{par_for_each, static_partition};
 use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
@@ -130,11 +131,6 @@ pub struct Dgemm {
     done: usize,
     total: usize,
     pristine: Arc<Pristine>,
-    /// Transposed k-panel of `b`, rebuilt from `b` every fast-path step
-    /// before it is read, so injected corruption in `b` flows through
-    /// identically. Harness scratch: not injectable, and dead at every step
-    /// boundary, so not part of the checkpointed state.
-    bt: Vec<f64>,
 }
 
 impl Dgemm {
@@ -165,86 +161,7 @@ impl Dgemm {
         let c = vec![0.0; p.n * p.n];
         let start = Checkpoint::new(0, Progress { c: c.clone(), ctrl: ctrl.clone() });
         let pristine = Arc::new(Pristine { a: a.clone(), b: b.clone(), start });
-        Dgemm { p, a, b, c, ctrl, ptr_a: 0, done: 0, total: nb, pristine, bt: Vec::new() }
-    }
-
-    /// True when every injectable byte that steers the panel loops still
-    /// holds the value a fault-free run has at this step boundary, so the
-    /// specialized panel loop in [`Dgemm::fast_step`] is observably
-    /// identical to [`thread_panel`]. Any corruption of the control
-    /// population (or the pointer base) fails the check and drops the
-    /// run back to the exact per-thread path.
-    fn control_is_pristine(&self) -> bool {
-        if self.ptr_a != 0 || self.p.n == 0 || !self.p.n.is_multiple_of(self.p.block) {
-            return false;
-        }
-        let step = self.done as u64;
-        let (n, block, nb) = (self.p.n as u64, self.p.block as u64, self.total as u64);
-        self.ctrl.iter().enumerate().all(|(t, c)| {
-            let (s, e) = static_partition(self.p.n, self.p.logical_threads, t);
-            c.kb == step
-                && c.row_start == s as u64
-                && c.row_end == e as u64
-                && c.n_local == n
-                && c.block_local == block
-                && c.nb_local == nb
-                && c.i_cur == 0
-                && c.j_cur == 0
-                && c.k_cur == 0
-        })
-    }
-
-    /// One clean-state step: every thread multiplies its C stripe by the
-    /// current k-panel with the per-iteration bookkeeping hoisted out —
-    /// no resume-cursor writes, no per-element fuel burns (provably
-    /// unreachable in a clean state), and the k-panel of `b` transposed
-    /// once so both input streams are contiguous. Floating-point
-    /// accumulation order (k ascending, one acc per (i, j)) is identical
-    /// to [`thread_panel`], so outputs are bit-identical.
-    fn fast_step(&mut self) -> StepOutcome {
-        let n = self.p.n;
-        let block = self.p.block;
-        if self.done < self.total {
-            let k0 = self.done * block;
-            self.bt.resize(n * block, 0.0);
-            for kk in 0..block {
-                let brow = &self.b[(k0 + kk) * n..(k0 + kk) * n + n];
-                for (j, &v) in brow.iter().enumerate() {
-                    self.bt[j * block + kk] = v;
-                }
-            }
-            for ctl in self.ctrl.iter_mut() {
-                let rs = ctl.row_start as usize;
-                let rows = (ctl.row_end - ctl.row_start) as usize;
-                let mut last_acc = None;
-                for i in 0..rows {
-                    let arow = (rs + i) * n;
-                    let ap = &self.a[arow + k0..arow + k0 + block];
-                    for j in 0..n {
-                        let bp = &self.bt[j * block..j * block + block];
-                        let mut acc = 0.0;
-                        for (&x, &y) in ap.iter().zip(bp) {
-                            acc += x * y;
-                        }
-                        self.c[arow + j] += acc;
-                        last_acc = Some(acc);
-                    }
-                }
-                // The slow path's scratch writes are overwritten every
-                // iteration; only the final values survive a step.
-                if let Some(acc) = last_acc {
-                    ctl.acc_scratch = acc;
-                    ctl.aidx_scratch = ((rs + rows - 1) * n + (n - 1)) as u64;
-                }
-                ctl.kb += 1;
-            }
-        }
-        self.done += 1;
-        if self.done >= self.total {
-            StepOutcome::Done
-        } else {
-            StepOutcome::Continue
-        }
+        Dgemm { p, a, b, c, ctrl, ptr_a: 0, done: 0, total: nb, pristine }
     }
 
     /// Reference (unblocked, sequential) product for correctness tests.
@@ -308,6 +225,65 @@ fn thread_panel(ctl: &mut Ctrl, c_stripe: &mut [f64], a: &[f64], b: &[f64], n_ph
     ctl.kb += 1;
 }
 
+impl FastPath for Dgemm {
+    const FAST_STEPS: &'static str = "kernels/dgemm/fast_steps";
+
+    /// The pointer base is zero and every thread's nine control integers
+    /// hold exactly the values a clean run has at this step boundary.
+    fn control_is_pristine(&self) -> bool {
+        if self.ptr_a != 0 || !self.p.n.is_multiple_of(self.p.block) {
+            return false;
+        }
+        let step = self.done as u64;
+        let (n, block, nb) = (self.p.n as u64, self.p.block as u64, self.total as u64);
+        self.ctrl.iter().enumerate().all(|(t, c)| {
+            let (s, e) = static_partition(self.p.n, self.p.logical_threads, t);
+            c.kb == step
+                && c.row_start == s as u64
+                && c.row_end == e as u64
+                && c.n_local == n
+                && c.block_local == block
+                && c.nb_local == nb
+                && c.i_cur == 0
+                && c.j_cur == 0
+                && c.k_cur == 0
+        })
+    }
+
+    /// Every thread multiplies its C stripe by the current k-panel with no
+    /// resume-cursor writes and no fuel burns, register-blocked over output
+    /// columns ([`fast::panel_products`]); each product starts at `0.0` and
+    /// sums `k` in ascending order, exactly like [`thread_panel`].
+    fn fast_step(&mut self) -> StepOutcome {
+        let n = self.p.n;
+        let block = self.p.block;
+        if self.done < self.total {
+            let k0 = self.done * block;
+            let panel = &self.b[k0 * n..(k0 + block) * n];
+            for ctl in self.ctrl.iter_mut() {
+                let (rs, re) = (ctl.row_start as usize, ctl.row_end as usize);
+                for i in rs..re {
+                    let ap = &self.a[i * n + k0..i * n + k0 + block];
+                    fast::panel_products(ap, panel, n, 0, &mut self.c[i * n..i * n + n], |c, acc| *c += acc);
+                }
+                // The exact path rewrites its scratch every iteration; only
+                // the last element's values survive the step.
+                if re > rs {
+                    ctl.acc_scratch = fast::column_product(&self.a[(re - 1) * n + k0..(re - 1) * n + k0 + block], panel, n, n - 1);
+                    ctl.aidx_scratch = ((re - 1) * n + (n - 1)) as u64;
+                }
+                ctl.kb += 1;
+            }
+        }
+        self.done += 1;
+        if self.done >= self.total {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue
+        }
+    }
+}
+
 impl FaultTarget for Dgemm {
     fn name(&self) -> &'static str {
         "dgemm"
@@ -356,19 +332,7 @@ impl FaultTarget for Dgemm {
     }
 
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Run-ahead specialization (ZOFI-style full-speed phase): while the
-        // control population is provably fault-free, take the monomorphic
-        // panel loop; any injected divergence falls back to the exact
-        // resumable path for that step. One fuel unit per step, burned
-        // before the step — same accounting as the default implementation.
-        while self.done < step_bound {
-            fuel.burn(1);
-            let out = if self.control_is_pristine() { self.fast_step() } else { self.step() };
-            if let StepOutcome::Done = out {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
+        fast::run_until(self, step_bound, fuel)
     }
 
     fn variables(&mut self) -> Vec<Variable<'_>> {
@@ -433,74 +397,47 @@ impl FaultTarget for Dgemm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::check;
 
     fn run_to_done(mut g: Dgemm) -> Output {
         while g.step() == StepOutcome::Continue {}
         g.output()
     }
 
-    /// Every injectable bit of state: C, the control population, the
-    /// pointer base, and the step counter. The fast path must leave all of
-    /// it bit-identical to the resumable path.
-    fn state_digest(g: &Dgemm) -> Vec<u64> {
-        let mut d: Vec<u64> = g.c.iter().map(|v| v.to_bits()).collect();
-        for c in &g.ctrl {
-            d.extend([
-                c.kb,
-                c.row_start,
-                c.row_end,
-                c.n_local,
-                c.block_local,
-                c.nb_local,
-                c.i_cur,
-                c.j_cur,
-                c.k_cur,
-                c.acc_scratch.to_bits(),
-                c.aidx_scratch,
-            ]);
-        }
-        d.push(g.ptr_a);
-        d.push(g.done as u64);
-        d
+    #[test]
+    fn run_until_fast_path_is_bit_identical_to_step() {
+        let g = Dgemm::new(DgemmParams::test());
+        assert!(check::fast_matches_exact(&g, 2, |_| {}));
+        // A width that leaves columns outside the register blocks.
+        assert!(check::fast_matches_exact(&Dgemm::new(DgemmParams { n: 44, block: 4, ..DgemmParams::test() }), 3, |_| {}));
+        check::guard_holds_in_clean_states(&g);
     }
 
     #[test]
-    fn run_until_fast_path_is_bit_identical_to_step() {
-        let p = DgemmParams::test();
-        let mut slow = Dgemm::new(p);
-        let mut fast = Dgemm::new(p);
-        assert!(fast.control_is_pristine());
-        let mut fuel = Fuel::new(u64::MAX);
-        // Partial phase (run-ahead to an interior step), then to completion —
-        // exercising both Continue and Done exits of the specialization.
-        assert_eq!(fast.run_until(2, &mut fuel), StepOutcome::Continue);
-        for _ in 0..2 {
-            slow.step();
+    fn float_faults_in_data_flow_through_both_paths() {
+        let g = Dgemm::new(DgemmParams::test());
+        let n = DgemmParams::test().n;
+        for v in check::F64_FAULTS {
+            for idx in [0, 3 * n + 17, n * n - 1] {
+                assert!(check::fast_matches_exact(&g, 2, |g| g.a[idx] = v));
+                assert!(check::fast_matches_exact(&g, 2, |g| g.b[idx] = v));
+                assert!(check::fast_matches_exact(&g, 2, |g| g.c[idx] = v));
+            }
+            assert!(check::fast_matches_exact(&g, 2, |g| g.ctrl[5].acc_scratch = v));
         }
-        assert_eq!(state_digest(&slow), state_digest(&fast), "mid-run divergence");
-        assert_eq!(fast.run_until(usize::MAX, &mut fuel), StepOutcome::Done);
-        while slow.step() == StepOutcome::Continue {}
-        assert_eq!(state_digest(&slow), state_digest(&fast), "final state divergence");
-        assert_eq!(u64::MAX - fuel.remaining(), slow.done as u64, "one fuel unit per step");
     }
 
     #[test]
     fn corrupted_control_falls_back_to_the_exact_path() {
-        let p = DgemmParams::test();
-        let mut slow = Dgemm::new(p);
-        let mut fast = Dgemm::new(p);
-        let mut fuel = Fuel::new(u64::MAX);
-        fast.run_until(2, &mut fuel);
-        for _ in 0..2 {
-            slow.step();
-        }
-        // Inject the same control fault into both: thread 3 repeats a panel.
-        slow.ctrl[3].kb = 0;
-        fast.ctrl[3].kb = 0;
-        assert!(!fast.control_is_pristine());
-        assert_eq!(fast.run_until(usize::MAX, &mut fuel), StepOutcome::Done);
-        while slow.step() == StepOutcome::Continue {}
-        assert_eq!(state_digest(&slow), state_digest(&fast), "faulty-run divergence");
+        let g = Dgemm::new(DgemmParams::test());
+        // Thread 3 repeats a panel.
+        assert!(!check::fast_matches_exact(&g, 2, |g| g.ctrl[3].kb = 0));
+        assert!(!check::fast_matches_exact(&g, 2, |g| g.ctrl[3].i_cur = 1));
+        assert!(!check::fast_matches_exact(&g, 2, |g| g.ctrl[0].row_end = 2));
+        assert!(!check::fast_matches_exact(&g, 2, |g| g.ctrl[7].block_local = 4));
+        assert!(!check::fast_matches_exact(&g, 2, |g| g.ptr_a = 8));
+        // The scratch index is only ever written.
+        assert!(check::fast_matches_exact(&g, 2, |g| g.ctrl[7].aidx_scratch = u64::MAX));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! One cooperative step = one stencil iteration over the double-buffered
 //! grid, rows statically partitioned over the logical threads.
 
+use crate::fast::{self, FastPath};
 use crate::par::{par_for_each, static_partition};
 use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
@@ -289,6 +290,86 @@ fn thread_rows(ctl: &mut Ctrl, dst_stripe: &mut [f32], src: &[f32], power: &[f32
     ctl.iter_local += 1;
 }
 
+/// The stencil update of one cell, in [`thread_rows`]' operation order.
+#[inline(always)]
+fn cell_delta(k: &Consts, t: f32, top: f32, bottom: f32, left: f32, right: f32, power: f32) -> f32 {
+    k.step_div_cap * (power + (top + bottom - 2.0 * t) * k.ry_1 + (left + right - 2.0 * t) * k.rx_1 + (k.amb - t) * k.rz_1)
+}
+
+impl FastPath for Hotspot {
+    const FAST_STEPS: &'static str = "kernels/hotspot/fast_steps";
+
+    /// The pointer base is zero and every thread's identity and geometry
+    /// copies are intact. The stripe bounds are recomputed from those before
+    /// every use, `iter_local` is only ever incremented, and the scratch
+    /// fields are only ever written, so none of them steers a loop.
+    fn control_is_pristine(&self) -> bool {
+        let (nthreads, rows, cols) = (self.p.logical_threads as u64, self.p.rows as u64, self.p.cols as u64);
+        self.ptr_temp == 0
+            && self.ctrl.iter().enumerate().all(|(t, c)| {
+                c.tid_local == t as u64 && c.nthreads_local == nthreads && c.rows_local == rows && c.cols_local == cols
+            })
+    }
+
+    /// The whole grid in one pass, row by row: the two edge columns are
+    /// split off so the interior is a bounds-check-free stencil over
+    /// equal-length row slices. Every thread then gets the stripe bounds and
+    /// the scratch values of its stripe's last cell, as [`thread_rows`]
+    /// leaves them.
+    fn fast_step(&mut self) -> StepOutcome {
+        let (rows, cols) = (self.p.rows, self.p.cols);
+        let k = &self.consts;
+        let src = &self.t_src;
+        let inner = cols - 2;
+        for r in 0..rows {
+            let up = if r > 0 { r - 1 } else { r };
+            let down = if r + 1 < rows { r + 1 } else { r };
+            let row = &src[r * cols..(r + 1) * cols];
+            let top = &src[up * cols..(up + 1) * cols];
+            let bottom = &src[down * cols..(down + 1) * cols];
+            let power = &self.power[r * cols..(r + 1) * cols];
+            let out = &mut self.t_dst[r * cols..(r + 1) * cols];
+            out[0] = row[0] + cell_delta(k, row[0], top[0], bottom[0], row[0], row[1], power[0]);
+            let last = cols - 1;
+            out[last] = row[last] + cell_delta(k, row[last], top[last], bottom[last], row[last - 1], row[last], power[last]);
+            let (left, mid, right) = (&row[..inner], &row[1..inner + 1], &row[2..]);
+            let (top, bottom, power) = (&top[1..inner + 1], &bottom[1..inner + 1], &power[1..inner + 1]);
+            let out = &mut out[1..inner + 1];
+            for c in 0..inner {
+                let t = mid[c];
+                out[c] = t + cell_delta(k, t, top[c], bottom[c], left[c], right[c], power[c]);
+            }
+        }
+        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
+            let (s, e) = static_partition(rows, self.p.logical_threads, t);
+            ctl.row_start = s as u64;
+            ctl.row_end = e as u64;
+            if e > s {
+                let gr = e - 1;
+                let idx = gr * cols + cols - 1;
+                let t = src[idx];
+                let top = src[if gr > 0 { idx - cols } else { idx }];
+                let bottom = src[if gr + 1 < rows { idx + cols } else { idx }];
+                let left = src[idx - 1];
+                ctl.idx_scratch = idx as u64;
+                ctl.gr_scratch = gr as u64;
+                ctl.t_scratch = t;
+                ctl.top_scratch = top;
+                ctl.left_scratch = left;
+                ctl.delta_scratch = cell_delta(k, t, top, bottom, left, t, self.power[idx]);
+            }
+            ctl.iter_local += 1;
+        }
+        std::mem::swap(&mut self.t_src, &mut self.t_dst);
+        self.done += 1;
+        if self.done >= self.p.iterations {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue
+        }
+    }
+}
+
 impl FaultTarget for Hotspot {
     fn name(&self) -> &'static str {
         "hotspot"
@@ -303,16 +384,7 @@ impl FaultTarget for Hotspot {
     }
 
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
-        while self.done < step_bound {
-            fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
+        fast::run_until(self, step_bound, fuel)
     }
 
     fn step(&mut self) -> StepOutcome {
@@ -435,6 +507,7 @@ impl FaultTarget for Hotspot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::check;
 
     fn run_to_done(mut h: Hotspot) -> Output {
         while h.step() == StepOutcome::Continue {}
@@ -510,5 +583,65 @@ mod tests {
             vars.iter().filter(|v| v.info.class == VarClass::ControlVariable).count(),
             9 * HotspotParams::test().logical_threads
         );
+    }
+    #[test]
+    fn run_until_fast_path_is_bit_identical_to_step() {
+        let h = Hotspot::new(HotspotParams::test());
+        assert!(check::fast_matches_exact(&h, 5, |_| {}));
+        assert!(check::fast_matches_exact(&Hotspot::new(HotspotParams { logical_threads: 64, ..HotspotParams::test() }), 5, |_| {}));
+        check::guard_holds_in_clean_states(&h);
+    }
+
+    #[test]
+    fn float_faults_in_data_and_constants_flow_through_both_paths() {
+        let h = Hotspot::new(HotspotParams::test());
+        let last = h.t_src.len() - 1;
+        for v in check::F32_FAULTS {
+            for cell in [0, 47, 100, last] {
+                assert!(check::fast_matches_exact(&h, 5, |h| h.t_src[cell] = v));
+            }
+            assert!(check::fast_matches_exact(&h, 5, |h| h.t_dst[100] = v));
+            assert!(check::fast_matches_exact(&h, 5, |h| h.power[47] = v));
+            assert!(check::fast_matches_exact(&h, 5, |h| h.consts.step_div_cap = v));
+            assert!(check::fast_matches_exact(&h, 5, |h| h.consts.amb = v));
+            assert!(check::fast_matches_exact(&h, 5, |h| h.consts.ry_1 = v));
+            assert!(check::fast_matches_exact(&h, 5, |h| h.raw[2] = v));
+            assert!(check::fast_matches_exact(&h, 5, |h| h.ctrl[3].delta_scratch = v));
+        }
+    }
+
+    #[test]
+    fn corrupted_control_falls_back_to_the_exact_path() {
+        let h = Hotspot::new(HotspotParams::test());
+        assert!(!check::fast_matches_exact(&h, 5, |h| h.ptr_temp = 1));
+        assert!(!check::fast_matches_exact(&h, 5, |h| h.ctrl[3].tid_local = 4));
+        assert!(!check::fast_matches_exact(&h, 5, |h| h.ctrl[3].nthreads_local = 15));
+        assert!(!check::fast_matches_exact(&h, 5, |h| h.ctrl[3].rows_local = 40));
+        assert!(!check::fast_matches_exact(&h, 5, |h| h.ctrl[15].cols_local = 47));
+        assert!(!check::fast_matches_exact(&h, 5, |h| h.ctrl[0].cols_local = 1 << 40));
+        // Dead or write-only control does not steer a loop, so the fast
+        // path stays on and must still leave the same bytes behind.
+        assert!(check::fast_matches_exact(&h, 5, |h| h.ctrl[2].row_start = 9));
+        assert!(check::fast_matches_exact(&h, 5, |h| h.ctrl[2].row_end = u64::MAX));
+        assert!(check::fast_matches_exact(&h, 5, |h| h.ctrl[2].iter_local ^= 1 << 40));
+        assert!(check::fast_matches_exact(&h, 5, |h| h.ctrl[2].idx_scratch = u64::MAX));
+    }
+
+    #[test]
+    fn corrupted_cols_local_ends_the_same_in_every_build_profile() {
+        // Index and fuel arithmetic on an injected integer overflows. The
+        // kernels wrap in every build profile, so a test build records the
+        // crash and timeout a release build records — not an overflow panic.
+        let run = |cols: u64| {
+            let mut h = Hotspot::new(HotspotParams::test());
+            h.step();
+            h.ctrl[0].cols_local = cols;
+            let _quiet = carolfi::panic_guard::silence_panics();
+            check::ending(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                h.run_until(usize::MAX, &mut Fuel::new(u64::MAX));
+            })))
+        };
+        assert_eq!(run(1 << 63), "panic: index out of bounds: the len is 2304 but the index is 9223372036854775808");
+        assert_eq!(run(u64::MAX), "timeout", "a wrapped fuel budget times out");
     }
 }

@@ -1,6 +1,7 @@
 //! Injectable Rust ports of the six SC'17 benchmarks.
 pub mod clamr;
 pub mod dgemm;
+mod fast;
 pub mod hotspot;
 pub mod lavamd;
 pub mod lud;

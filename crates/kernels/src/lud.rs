@@ -16,6 +16,7 @@
 //! because the middle of the run maximises (work touched so far) ×
 //! (iterations left to spread it).
 
+use crate::fast::{self, FastPath};
 use crate::par::{par_for_each, static_partition};
 use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
@@ -306,6 +307,75 @@ fn thread_trailing(ctl: &mut Ctrl, stripe: &mut [f32], stripe_row0: usize, head:
     ctl.col_cur = 0;
 }
 
+impl Lud {
+    /// The trailing update of [`Lud::step_internal`] for a clean control
+    /// state: every row of the trailing matrix in one pass, register-blocked
+    /// over columns ([`fast::panel_products`]), each product from `0.0` with
+    /// `k` ascending, exactly like [`thread_trailing`]; no fuel burns. Every
+    /// thread then gets the scratch values of its stripe's last element.
+    fn fast_internal(&mut self) {
+        let (n, b) = (self.n(), self.b());
+        let base = self.d as usize * b;
+        let row0 = base + b;
+        if row0 >= n {
+            return;
+        }
+        let (head, tail) = self.a.split_at_mut(row0 * n);
+        let panel = &head[base * n..];
+        for row in tail.chunks_exact_mut(n) {
+            let (left, out) = row.split_at_mut(row0);
+            fast::panel_products(&left[base..], panel, n, row0, out, |o, acc| *o -= acc);
+        }
+        for (t, ctl) in self.ctrl.iter_mut().enumerate() {
+            let (s, e) = static_partition(n - row0, self.p.logical_threads, t);
+            if e > s {
+                let l = &tail[(e - 1) * n + base..(e - 1) * n + row0];
+                ctl.acc_scratch = fast::column_product(l, panel, n, n - 1);
+                ctl.l_scratch = l[b - 1];
+                ctl.u_scratch = panel[(b - 1) * n + n - 1];
+                ctl.row_scratch = (e - s - 1) as u64;
+                ctl.col_scratch = (n - 1) as u64;
+            }
+            ctl.d_local += 1;
+        }
+    }
+}
+
+impl FastPath for Lud {
+    const FAST_STEPS: &'static str = "kernels/lud/fast_steps";
+
+    /// The pointer base is zero, the global diagonal cursor is the one this
+    /// step boundary implies, and every thread's diagonal, geometry and
+    /// column-cursor copies hold their clean values. `nb_local` is never
+    /// read and the scratch fields are only ever written.
+    fn control_is_pristine(&self) -> bool {
+        let d = (self.done / 3) as u64;
+        let (n, b) = (self.p.n as u64, self.p.block as u64);
+        self.ptr_m == 0
+            && self.d == d
+            && self.ctrl.iter().all(|c| c.d_local == d && c.n_local == n && c.b_local == b && c.col_cur == 0)
+    }
+
+    /// The diagonal and perimeter phases are cheap and run as in `step()`;
+    /// the trailing update takes [`Lud::fast_internal`].
+    fn fast_step(&mut self) -> StepOutcome {
+        match self.phase() {
+            Phase::Diagonal => self.step_diagonal(),
+            Phase::Perimeter => self.step_perimeter(),
+            Phase::Internal => {
+                self.fast_internal();
+                self.d += 1;
+            }
+        }
+        self.done += 1;
+        if self.done >= self.total {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue
+        }
+    }
+}
+
 impl FaultTarget for Lud {
     fn name(&self) -> &'static str {
         "lud"
@@ -320,16 +390,7 @@ impl FaultTarget for Lud {
     }
 
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
-        while self.done < step_bound {
-            fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
+        fast::run_until(self, step_bound, fuel)
     }
 
     fn step(&mut self) -> StepOutcome {
@@ -407,6 +468,7 @@ impl FaultTarget for Lud {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::check;
 
     fn run_to_done(mut l: Lud) -> Output {
         while l.step() == StepOutcome::Continue {}
@@ -497,5 +559,44 @@ mod tests {
             Err(_) => {}
             Ok(out) => assert!(!out.matches(&golden)),
         }
+    }
+    #[test]
+    fn run_until_fast_path_is_bit_identical_to_step() {
+        let l = Lud::new(LudParams::test());
+        for mid in [3, 8, 11] {
+            assert!(check::fast_matches_exact(&l, mid, |_| {}));
+        }
+        // A trailing width that leaves columns outside the register blocks.
+        assert!(check::fast_matches_exact(&Lud::new(LudParams { n: 30, block: 6, ..LudParams::test() }), 4, |_| {}));
+        check::guard_holds_in_clean_states(&l);
+    }
+
+    #[test]
+    fn float_faults_in_data_flow_through_both_paths() {
+        let l = Lud::new(LudParams::test());
+        let n = LudParams::test().n;
+        for v in check::F32_FAULTS {
+            // The pivot, an L element, a U element and a trailing element.
+            for idx in [3 * n + 3, 5 * n + 2, 2 * n + 30, 40 * n + 41] {
+                for mid in [3, 5] {
+                    assert!(check::fast_matches_exact(&l, mid, |l| l.a[idx] = v));
+                }
+            }
+            assert!(check::fast_matches_exact(&l, 5, |l| l.ctrl[1].u_scratch = v));
+        }
+    }
+
+    #[test]
+    fn corrupted_control_falls_back_to_the_exact_path() {
+        let l = Lud::new(LudParams::test());
+        assert!(!check::fast_matches_exact(&l, 5, |l| l.ctrl[2].d_local = 0));
+        assert!(!check::fast_matches_exact(&l, 5, |l| l.ctrl[2].col_cur = 3));
+        assert!(!check::fast_matches_exact(&l, 5, |l| l.ctrl[9].b_local = 4));
+        assert!(!check::fast_matches_exact(&l, 5, |l| l.ctrl[9].n_local = 40));
+        assert!(!check::fast_matches_exact(&l, 5, |l| l.d = 3));
+        assert!(!check::fast_matches_exact(&l, 3, |l| l.ptr_m = 1));
+        // `nb_local` is never read and the scratch indices only written.
+        assert!(check::fast_matches_exact(&l, 5, |l| l.ctrl[9].nb_local = 0));
+        assert!(check::fast_matches_exact(&l, 5, |l| l.ctrl[9].row_scratch = u64::MAX));
     }
 }

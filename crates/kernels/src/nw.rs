@@ -18,6 +18,7 @@
 //!
 //! NW is the paper's only integer benchmark.
 
+use crate::fast::{self, FastPath};
 use crate::par::par_for_each;
 use carolfi::checkpoint::{bits_eq, fields_eq, Checkpoint};
 use carolfi::fuel::Fuel;
@@ -318,6 +319,70 @@ impl Nw {
     }
 }
 
+impl FastPath for Nw {
+    const FAST_STEPS: &'static str = "kernels/nw/fast_steps";
+
+    /// Both pointer bases are zero and every thread's diagonal cursor,
+    /// block size, row stride and block stride hold their clean values. The
+    /// scratch fields are only ever written.
+    fn control_is_pristine(&self) -> bool {
+        let (diag, b, np1, bb) = (self.done as u64, self.p.block as u64, self.p.n as u64 + 1, self.p.bb() as u64);
+        self.ptr_score == 0
+            && self.ptr_ref == 0
+            && self.ctrl.iter().all(|c| c.diag_cur == diag && c.b_local == b && c.n_local == np1 && c.stride_local == bb)
+    }
+
+    /// A clean wavefront step: thread `ib` fills block `(ib, diag − ib)`
+    /// straight into the score matrix, row by row. The exact path fills a
+    /// private tile from the same halo and copies its interior back; blocks
+    /// on one anti-diagonal read only earlier diagonals, so filling in place
+    /// writes the same values. No tiles, task lists or fuel burns. Each
+    /// thread with a block gets the scratch values of the block's last cell,
+    /// as [`Nw::compute_block`] leaves them. The traceback runs as in
+    /// `step()`.
+    fn fast_step(&mut self) -> StepOutcome {
+        let bb = self.p.bb();
+        if self.done < 2 * bb - 1 {
+            let diag = self.done;
+            let (b, np1, pen) = (self.p.block, self.p.n + 1, self.penalty);
+            for ib in diag.saturating_sub(bb - 1)..=diag.min(bb - 1) {
+                let (r0, c0) = (ib * b, (diag - ib) * b);
+                for gi in r0 + 1..=r0 + b {
+                    let (above, from_row) = self.score.split_at_mut(gi * np1);
+                    let prev = &above[(gi - 1) * np1 + c0..(gi - 1) * np1 + c0 + b + 1];
+                    let cur = &mut from_row[c0..c0 + b + 1];
+                    let refr = &self.refm[gi * np1 + c0..gi * np1 + c0 + b + 1];
+                    let mut left = cur[0];
+                    for tj in 1..=b {
+                        let best = (prev[tj - 1] + refr[tj]).max(prev[tj] - pen).max(left - pen);
+                        cur[tj] = best;
+                        left = best;
+                    }
+                }
+                let (gi, gj) = (r0 + b, c0 + b);
+                let ctl = &mut self.ctrl[ib];
+                ctl.ti_scratch = b as u64;
+                ctl.tj_scratch = b as u64;
+                ctl.gi_scratch = gi as u64;
+                ctl.diag_val = (self.score[(gi - 1) * np1 + gj - 1] + self.refm[gi * np1 + gj]) as i64;
+                ctl.up_val = (self.score[(gi - 1) * np1 + gj] - pen) as i64;
+                ctl.left_val = (self.score[gi * np1 + gj - 1] - pen) as i64;
+            }
+            for ctl in &mut self.ctrl {
+                ctl.diag_cur += 1;
+            }
+        } else {
+            self.traceback();
+        }
+        self.done += 1;
+        if self.done >= self.total {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue
+        }
+    }
+}
+
 impl FaultTarget for Nw {
     fn name(&self) -> &'static str {
         "nw"
@@ -332,16 +397,7 @@ impl FaultTarget for Nw {
     }
 
     fn run_until(&mut self, step_bound: usize, fuel: &mut Fuel) -> StepOutcome {
-        // Monomorphic run-ahead loop (ZOFI-style full-speed phase): one
-        // decrement-and-branch plus a direct, inlinable step call per
-        // step — no virtual dispatch through `dyn FaultTarget`.
-        while self.done < step_bound {
-            fuel.burn(1);
-            if let StepOutcome::Done = self.step() {
-                return StepOutcome::Done;
-            }
-        }
-        StepOutcome::Continue
+        fast::run_until(self, step_bound, fuel)
     }
 
     fn step(&mut self) -> StepOutcome {
@@ -493,6 +549,7 @@ impl FaultTarget for Nw {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fast::check;
 
     fn run_to_done(mut nw: Nw) -> Output {
         while nw.step() == StepOutcome::Continue {}
@@ -629,5 +686,45 @@ mod tests {
         let nw = Nw::new(p);
         let zeros = nw.refm.iter().filter(|&&v| v == 0).count();
         assert!(zeros > 0, "substitution matrix must contain zeros for Zero-model masking");
+    }
+    /// Integer faults: both extremes, a sign flip and a high bit.
+    const I32_FAULTS: [i32; 5] = [i32::MIN, i32::MAX, -1, 0, 1 << 20];
+
+    #[test]
+    fn run_until_fast_path_is_bit_identical_to_step() {
+        let nw = Nw::new(NwParams::test());
+        for mid in [1, 6, 10] {
+            assert!(check::fast_matches_exact(&nw, mid, |_| {}));
+        }
+        check::guard_holds_in_clean_states(&nw);
+    }
+
+    #[test]
+    fn integer_faults_in_data_flow_through_both_paths() {
+        let nw = Nw::new(NwParams::test());
+        let np1 = NwParams::test().n + 1;
+        for v in I32_FAULTS {
+            // Computed cells on and off the path, the frontier's halo, and
+            // a cell the wavefront has not reached yet.
+            for idx in [8 * np1 + 8, 16 * np1 + 3, 2 * np1 + 40, 40 * np1 + 40] {
+                assert!(check::fast_matches_exact(&nw, 3, |nw| nw.score[idx] = v));
+                assert!(check::fast_matches_exact(&nw, 3, |nw| nw.refm[idx] = v));
+            }
+            assert!(check::fast_matches_exact(&nw, 3, |nw| nw.penalty = v));
+            assert!(check::fast_matches_exact(&nw, 3, |nw| nw.path[0] = v));
+            assert!(check::fast_matches_exact(&nw, 3, |nw| nw.seq1[1] = v));
+        }
+    }
+
+    #[test]
+    fn corrupted_control_falls_back_to_the_exact_path() {
+        let nw = Nw::new(NwParams::test());
+        assert!(!check::fast_matches_exact(&nw, 3, |nw| nw.ctrl[1].diag_cur = 1));
+        assert!(!check::fast_matches_exact(&nw, 3, |nw| nw.ctrl[1].stride_local = 1));
+        assert!(!check::fast_matches_exact(&nw, 3, |nw| nw.ctrl[2].b_local = 4));
+        assert!(!check::fast_matches_exact(&nw, 3, |nw| nw.ctrl[0].n_local = 48));
+        assert!(!check::fast_matches_exact(&nw, 3, |nw| nw.ptr_score = 2));
+        assert!(!check::fast_matches_exact(&nw, 3, |nw| nw.ptr_ref = 1 << 40));
+        assert!(check::fast_matches_exact(&nw, 3, |nw| nw.ctrl[0].gi_scratch = u64::MAX));
     }
 }
